@@ -16,17 +16,14 @@ import math
 import numpy as np
 
 from batchlab import distributions as dist_mod
-from batchlab.batch_exact import expected_time_bulk, expected_time_fast
+from batchlab.batch_exact import expected_time_bulk
 from batchlab.rng import derive_rng, map_chunks, rows_chunk
 
 
-def sample_word_counts(dist, n, trials, seed, negative):
+def sample_word_counts(dist, n, trials, seed):
     def chunk(i, lo, hi):
         rng = derive_rng(seed, 99, i)
         P = dist.sample((hi - lo) * n, rng).reshape(hi - lo, n)
-        if negative:
-            return np.asarray([expected_time_fast(row).steps_expectation
-                               for row in P])
         return expected_time_bulk(P) + 1.0
     return np.concatenate(map_chunks(chunk, trials, chunk_size=rows_chunk(n)))
 
@@ -48,7 +45,7 @@ def main():
         d = dist_mod.uniform() if beta == 0.0 else dist_mod.power_tail(beta)
         print(f"beta = {beta}:")
         for n in ns:
-            t = sample_word_counts(d, n, args.trials, args.seed, beta < 0.0)
+            t = sample_word_counts(d, n, args.trials, args.seed)
             rate = n ** (1.0 / (1.0 + beta))
             if beta > 0.0:
                 lo = report(f"n={n} T/rate (C1 side)", t / rate, None, None)

@@ -7,10 +7,9 @@ simulators for three learning algorithms, and a scaling harness that fits
 the asymptotic exponents at desk scale.
 """
 
-from .batch_exact import (SurvivalCurve, TimeEstimate, coarse_bounds,
-                          expected_time_fast, expected_time_series,
-                          expected_time_subsets, n_delta, sandwich, survival,
-                          survival_curve)
+from .batch_exact import (TimeEstimate, coarse_bounds, expected_time_fast,
+                          expected_time_series, expected_time_subsets, n_delta,
+                          sandwich, survival)
 from .distributions import OverlapDistribution, parse_dist, power_tail, scaled, uniform
 from .ensemble import (RegimeWindowReport, Alpha1Decomposition, ConcentrationSummary,
                        EnsembleEstimate, ExtremeValueReport,
@@ -23,8 +22,8 @@ from .errors import (CensoringError, ConfigError, DivergenceError,
 from .harness import (ComparisonTable, LogLogFit, RunConfig, ScalingReport,
                       compare_algorithms, emit, fit_loglog, parse_report,
                       run_scaling)
-from .moment_zeta import (MomentSequence, ZetaExpectationCheck, ZetaValue,
-                          mellin, verify_zeta_expectation, zeta)
+from .moment_zeta import (ZetaExpectationCheck, ZetaValue, mellin,
+                          verify_zeta_expectation, zeta)
 from .simulators import (TrialBatch, empirical_n_delta, run_trials,
                          simulate_batch, simulate_batch_wordlevel,
                          simulate_full_memory, simulate_memoryless)

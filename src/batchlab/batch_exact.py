@@ -14,10 +14,20 @@ of teacher words consumed is E[k0] = 1 + T for n >= 1 (the k = 0 term of
 the tail-sum identity), so both are returned.  Simulator comparisons use
 ``steps_expectation``.
 
+Every power p_i**x is taken by one kernel, which works on log overlaps
+sorted in descending order (zero overlaps dropped) and cuts the columns
+whose powers are below e**-40 of the leading one.
+
 For ensembles of large vectors (scales up to ~n**2 steps for negative tail
-exponents) the exact k-by-k sum is replaced by an Euler-Maclaurin corrected
-integral on a geometric grid plus closed-form geometric tails; accuracy is
-~1e-5 relative, checked against the exact series where both run.
+exponents) one evaluator, vectorized over the rows of an overlap matrix,
+replaces the exact k-by-k sum: an exact head of 256 steps, from which a row
+retires to a closed-form geometric tail once S(k) = sum p_i**k is
+negligible, then, for the rows still alive, an Euler-Maclaurin corrected
+Gauss-Legendre integral on a geometric grid, then the same closed-form
+tail.  :func:`expected_time_bulk` runs it on a matrix and
+:func:`expected_time_fast` on one vector; a row's value does not depend on
+the other rows beyond rounding.  Accuracy is ~1e-5 relative, checked against the exact
+series where both run.
 """
 
 from __future__ import annotations
@@ -26,14 +36,19 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import DivergenceError, PrecisionLossError
+from .rng import rows_chunk
 
 SUBSET_LIMIT = 25
 _TAIL_S_THRESHOLD = 1e-4   # retire a vector to closed-form tail once S(k) <= this
 _TAIL_ORDERS = 5           # log1p expansion orders kept in closed-form tails
 _EXACT_HEAD = 256          # exact k-summation range before the integral part
 _K_CAP = 1 << 25
+_DEAD = 40.0               # powers below e**-40 of the leading one are cut
+_X_BUDGET = 1 << 16        # powers per kernel call when several x share one
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 class TimeEstimate(NamedTuple):
@@ -41,19 +56,6 @@ class TimeEstimate(NamedTuple):
 
     t: float
     steps_expectation: float
-
-
-class SurvivalCurve(NamedTuple):
-    """q_1..q_K with a bound on the discarded remainder sum."""
-
-    q: np.ndarray
-    truncation_k: int
-    tail_bound: float
-
-    def at(self, k: int) -> float:
-        if not 1 <= k <= self.truncation_k:
-            raise IndexError(f"curve truncated at k = {self.truncation_k}")
-        return float(self.q[k - 1])
 
 
 def _as_p(p, forbid_one: bool = True) -> np.ndarray:
@@ -68,6 +70,35 @@ def _as_p(p, forbid_one: bool = True) -> np.ndarray:
     return arr
 
 
+def _log_desc(arr: np.ndarray) -> np.ndarray:
+    """log p of the nonzero overlaps, in descending order."""
+    return np.log(-np.sort(-arr[arr > 0.0]))
+
+
+def _powers(logp: np.ndarray, x, top: np.ndarray) -> np.ndarray:
+    """p**x = exp(x * log p) over the live leading columns of ``logp``.
+
+    ``logp`` is (n,) or (rows, n) with every row in descending order, and
+    ``top`` (n,) bounds its columns from above, also descending.  Columns j
+    with top_j * x <= top_0 * x - 40 for every x are dead and cut: each of
+    their powers is below e**-40 = 4e-18 of the leading one, so a sum that
+    holds the leading power moves by at most n * 4e-18 relative.  ``x``
+    broadcasts against the rows of ``logp`` (shape (..., rows), or any
+    shape for one vector); the result has the broadcast shape plus a last
+    axis over the live columns.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(divide="ignore", under="ignore"):
+        x_min = np.min(x, initial=np.inf)
+        live = int(np.searchsorted(-top, _DEAD / x_min - top[0]))
+        return np.exp(x[..., None] * logp[..., :live])
+
+
+def _q(pk: np.ndarray) -> np.ndarray:
+    """q = 1 - prod(1 - p**x) along the last axis, in log space."""
+    return -np.expm1(np.log1p(-pk).sum(axis=-1))
+
+
 # ----------------------------------------------------------------------
 # survival probabilities and coarse bounds
 # ----------------------------------------------------------------------
@@ -77,39 +108,27 @@ def survival(p, k: int) -> float:
     """q_k = 1 - prod_i (1 - p_i**k), in log space to dodge underflow."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    arr = _as_p(p, forbid_one=False)
-    return float(_survival_bulk(arr, np.asarray([float(k)]))[0])
+    return float(survival_bulk(p, [float(k)])[0])
 
 
 def survival_bulk(p, ks) -> np.ndarray:
     """Vectorized survival over an array of step counts."""
-    arr = _as_p(p, forbid_one=False)
-    return _survival_bulk(arr, np.asarray(ks, dtype=np.float64))
-
-
-def _survival_bulk(arr: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    if arr.size == 0:
+    ks = np.asarray(ks, dtype=np.float64)
+    logp = _log_desc(_as_p(p, forbid_one=False))
+    if logp.size == 0:
         return np.zeros_like(ks)
-    with np.errstate(divide="ignore"):
-        logp = np.log(arr)
-    with np.errstate(under="ignore", invalid="ignore"):
-        pk = np.exp(np.multiply.outer(ks, logp))        # (len(ks), n)
-        pk = np.where(np.isnan(pk), 0.0, pk)            # 0 * inf from p = 0
-        loglk = np.log1p(-pk).sum(axis=1)
-    return -np.expm1(loglk)
+    return _q(_powers(logp, ks, logp))
 
 
 def sandwich(p, k: int) -> tuple[float, float]:
     """(max_i p_i**k, min(1, sum_i p_i**k)): certified bracket around q_k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    arr = _as_p(p, forbid_one=False)
-    if arr.size == 0:
+    logp = _log_desc(_as_p(p, forbid_one=False))
+    if logp.size == 0:
         return 0.0, 0.0
-    with np.errstate(divide="ignore", under="ignore", invalid="ignore"):
-        pk = np.exp(k * np.log(arr))
-        pk = np.where(np.isnan(pk), 0.0, pk)
-    return float(pk.max()), float(min(1.0, pk.sum()))
+    pk = _powers(logp, float(k), logp)
+    return float(pk[0]), float(min(1.0, pk.sum()))
 
 
 def coarse_bounds(p) -> tuple[float, float]:
@@ -141,29 +160,21 @@ def expected_time_series(p, eps: float = 1e-12, k_cap: int = _K_CAP) -> TimeEsti
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     arr = _as_p(p)
-    n = arr.size
-    if n == 0:
+    if arr.size == 0:
         return TimeEstimate(0.0, 0.0)
-    arr = -np.sort(-arr)                       # dead columns drop off the end
-    p_max = float(arr[0])
-    if p_max == 0.0:
+    logp = _log_desc(arr)
+    n = logp.size
+    if n == 0:
         return TimeEstimate(0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        logp = np.log(arr)
+    p_max = float(arr.max())
     block = max(64, min(4096, int(4e6) // n))
     total = 0.0
     k = 0
     while True:
-        # columns with p**k < ~1e-18 at the block start stay negligible
-        cut = int(np.searchsorted(-arr, -math.exp(-40.0 / (k + 1)))) or 1
         ks = np.arange(k + 1, k + block + 1, dtype=np.float64)
-        with np.errstate(under="ignore", invalid="ignore"):
-            pk = np.exp(np.multiply.outer(ks, logp[:cut]))
-            pk = np.where(np.isnan(pk), 0.0, pk)
-            q = -np.expm1(np.log1p(-pk).sum(axis=1))
-        total += float(q.sum())
+        total += float(_q(_powers(logp, ks, logp)).sum())
         k += block
-        tail = n * p_max ** (k + 1) / (1.0 - p_max)
+        tail = n * float(_powers(logp[:1], k + 1.0, logp)[0]) / (1.0 - p_max)
         if tail < eps:
             return TimeEstimate(total, total + 1.0)
         if k >= k_cap:
@@ -229,25 +240,6 @@ def expected_time_subsets_bulk(P: np.ndarray) -> np.ndarray:
     return (signs[1:] * terms).sum(axis=1)
 
 
-def survival_curve(p, eps: float = 1e-9, k_cap: int = _K_CAP) -> SurvivalCurve:
-    """Tabulate q_1..q_K until the geometric remainder bound drops below eps."""
-    arr = _as_p(p)
-    n = arr.size
-    if n == 0:
-        return SurvivalCurve(np.zeros(1), 1, 0.0)
-    p_max = float(arr.max())
-    if p_max == 0.0:
-        return SurvivalCurve(np.zeros(1), 1, 0.0)
-    k = 1
-    while n * p_max ** (k + 1) / (1.0 - p_max) >= eps:
-        k *= 2
-        if k > k_cap:
-            raise PrecisionLossError("survival curve truncation did not converge")
-    ks = np.arange(1, k + 1, dtype=np.float64)
-    q = _survival_bulk(arr, ks)
-    return SurvivalCurve(q, k, n * p_max ** (k + 1) / (1.0 - p_max))
-
-
 def n_delta(p, delta: float) -> int:
     """Smallest k >= 1 with survival(p, k) <= delta."""
     if not 0.0 < delta < 1.0:
@@ -277,112 +269,26 @@ def n_delta(p, delta: float) -> int:
 # ----------------------------------------------------------------------
 
 
-def _closed_form_tail(arr: np.ndarray, logp: np.ndarray, k: int) -> float:
-    """sum_{j>k} q_j when S(k+1) = sum p_i**(k+1) is already small.
-
-    Uses q_j <= -sum log1p(-p_i**j) expanded in powers (orders r) with exact
-    geometric sums, minus half the certified second-order correction.
-    """
-    with np.errstate(under="ignore", invalid="ignore"):
-        first = 0.0
-        for r in range(1, _TAIL_ORDERS + 1):
-            pr = np.exp(r * (k + 1) * logp)
-            pr = np.where(np.isnan(pr), 0.0, pr)
-            prk = np.exp(r * logp)
-            prk = np.where(np.isnan(prk), 0.0, prk)
-            first += float((pr / (1.0 - prk)).sum()) / r
-        s_next = float(np.where(np.isnan(np.exp((k + 1) * logp)), 0.0,
-                                np.exp((k + 1) * logp)).sum())
-    return first * (1.0 - 0.25 * s_next)
-
-
 def expected_time_fast(p) -> TimeEstimate:
     """Expected time for a single (possibly huge-scale) vector.
 
-    Exact summation for k <= 256, then an Euler-Maclaurin corrected integral
-    of q(x) on a geometric grid down to where sum p_i**x is negligible, then
-    a closed-form geometric tail.  Relative accuracy ~1e-5; intended for the
-    ensemble Monte Carlo where scales reach ~n**2 steps.
+    The one-row case of :func:`expected_time_bulk`, with the same value.
+    Relative accuracy ~1e-5; intended for the ensemble Monte Carlo where
+    scales reach ~n**2 steps.
     """
     arr = _as_p(p)
-    arr = np.sort(arr[arr > 0.0])[::-1]
-    n = arr.size
-    if n == 0:
-        return TimeEstimate(0.0, float(np.asarray(p).size > 0))
-    with np.errstate(divide="ignore"):
-        logp = np.log(arr)
-
-    # exact head
-    total = 0.0
-    head = _EXACT_HEAD
-    for lo in range(1, head + 1, max(1, int(4e6) // n)):
-        hi = min(lo + max(1, int(4e6) // n) - 1, head)
-        ks = np.arange(lo, hi + 1, dtype=np.float64)
-        total += float(_survival_bulk(arr, ks).sum())
-
-    s_head = _s_of(arr, logp, float(head + 1))
-    if s_head <= _TAIL_S_THRESHOLD:
-        return _finish(total + _closed_form_tail(arr, logp, head))
-
-    # geometric-grid integral from a = head+1 out to where S <= threshold
-    a = float(head + 1)
-    # S(x) is dominated by exp(x * logp[0]); solve for the cut generously
-    x_cut = max(2.0 * a, math.log(max(n, 2) / (0.5 * _TAIL_S_THRESHOLD))
-                / max(-logp[0], 1e-300))
-    b = a
-    while _s_of(arr, logp, b) > _TAIL_S_THRESHOLD:
-        b = min(2.0 * b, x_cut)
-        if b >= x_cut:
-            break
-    b = math.ceil(b)
-
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    integral = 0.0
-    panels = max(1, int(math.ceil(math.log2(b / a) * 1.5)))
-    edges = a * (b / a) ** (np.arange(panels + 1) / panels)
-    for left, right in zip(edges[:-1], edges[1:]):
-        lu, ru = math.log(left), math.log(right)
-        u = 0.5 * (ru - lu) * nodes + 0.5 * (ru + lu)
-        x = np.exp(u)
-        # columns beyond the underflow cut at the panel's left edge are dead
-        cut = int(np.searchsorted(-arr, -math.exp(-40.0 / left))) or 1
-        qx = _survival_bulk(arr[:cut], x)
-        integral += 0.5 * (ru - lu) * float((weights * qx * x).sum())
-
-    # Euler-Maclaurin: sum_{k=a}^{b} f(k) ~ int_a^b f + (f(a)+f(b))/2
-    #                  + (f'(b)-f'(a))/12
-    fa, fb = float(_survival_bulk(arr, np.asarray([a]))[0]), \
-        float(_survival_bulk(arr, np.asarray([float(b)]))[0])
-    dfa, dfb = _q_prime(arr, logp, a), _q_prime(arr, logp, float(b))
-    middle = integral + 0.5 * (fa + fb) + (dfb - dfa) / 12.0
-
-    return _finish(total + middle + _closed_form_tail(arr, logp, int(b)))
-
-
-def _finish(t: float) -> TimeEstimate:
+    if arr.size == 0:
+        return TimeEstimate(0.0, 0.0)
+    t = float(_expected_times(arr[None, :])[0])
     return TimeEstimate(t, t + 1.0)
 
 
-def _s_of(arr, logp, x: float) -> float:
-    with np.errstate(under="ignore"):
-        return float(np.exp(x * logp).sum())
-
-
-def _q_prime(arr, logp, x: float) -> float:
-    """d/dx of q(x) = 1 - prod(1 - p_i**x)."""
-    with np.errstate(under="ignore"):
-        px = np.exp(x * logp)
-        l = math.exp(float(np.log1p(-px).sum()))
-        return l * float((px * logp / (1.0 - px)).sum())
-
-
-def expected_time_bulk(P: np.ndarray, k_switch: int = 4096) -> np.ndarray:
+def expected_time_bulk(P: np.ndarray) -> np.ndarray:
     """Expected times T for each row of P.
 
-    Exact k-stepping with per-row retirement to the closed-form geometric
-    tail once S(k) = sum p_i**k is negligible; rows whose scale exceeds
-    ``k_switch`` steps (tiny minimum gap) are handed to
-    :func:`expected_time_fast` instead.  Accuracy ~1e-5 relative.
+    Rows are evaluated together, in blocks of bounded memory, by the exact
+    head, the Euler-Maclaurin integral and the closed-form tail described
+    in the module docstring.  Accuracy ~1e-5 relative.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2:
@@ -390,37 +296,100 @@ def expected_time_bulk(P: np.ndarray, k_switch: int = 4096) -> np.ndarray:
     if P.size and P.max() >= 1.0:
         raise DivergenceError("overlap probability of exactly 1 in bulk input")
     rows, n = P.shape
-    if rows == 0 or n == 0:
-        return np.zeros(rows)
-
-    Ps = -np.sort(-P, axis=1)
-    with np.errstate(divide="ignore"):
-        logps = np.log(Ps)
-    colmax = Ps.max(axis=0)
-
     T = np.zeros(rows)
-    # rows whose decay scale already exceeds the stepping budget go straight
-    # to the integral evaluator instead of burning k_switch exact steps
-    with np.errstate(divide="ignore"):
-        k_estimate = (math.log(n / _TAIL_S_THRESHOLD)
-                      / np.maximum(-logps[:, 0], 1e-300))
-    active = np.flatnonzero(k_estimate <= k_switch)
-    stragglers = np.flatnonzero(k_estimate > k_switch)
-    for k in range(1, k_switch + 1):
-        if not active.size:
-            break
-        cut = int(np.searchsorted(-colmax, -math.exp(-40.0 / k))) or 1
-        with np.errstate(under="ignore", invalid="ignore"):
-            pk = np.exp(k * logps[active, :cut])
-            pk = np.where(np.isnan(pk), 0.0, pk)
-            s_row = pk.sum(axis=1)
-            q = -np.expm1(np.log1p(-pk).sum(axis=1))
-        T[active] += q
-        done = s_row <= _TAIL_S_THRESHOLD
-        if done.any():
-            for r in active[done]:
-                T[r] += _closed_form_tail(Ps[r], logps[r], k)
-            active = active[~done]
-    for r in np.concatenate([active, stragglers]):
-        T[r] = expected_time_fast(Ps[r]).t
+    if n == 0:
+        return T
+    step = rows_chunk(n)
+    for lo in range(0, rows, step):
+        T[lo:lo + step] = _expected_times(P[lo:lo + step])
     return T
+
+
+def _expected_times(P: np.ndarray) -> np.ndarray:
+    """T for each row of a (rows, n) block of overlaps in [0, 1)."""
+    P = -np.sort(-P, axis=1)
+    positives = np.count_nonzero(P, axis=1)
+    if not positives.any():
+        return np.zeros(len(P))
+    P = P[:, :positives.max()]                  # the all-zero columns go
+    with np.errstate(divide="ignore"):
+        logp = np.log(P)
+    top = logp.max(axis=0)
+    T = np.zeros(len(P))
+    start = np.zeros(len(P))                    # where each row's tail starts
+    rows, L, k = np.arange(len(P)), logp, 0
+    while rows.size and k < _EXACT_HEAD:
+        last = min(k + rows_chunk(L.size, _X_BUDGET), _EXACT_HEAD)
+        ks = np.arange(k + 1, last + 1, dtype=np.float64)
+        pk = _powers(L, ks[:, None], top)        # (steps, rows, live)
+        # a row takes each step up to the first with S(k) <= threshold
+        alive = np.logical_and.accumulate(pk.sum(axis=2) > _TAIL_S_THRESHOLD)
+        taken = np.vstack([np.ones((1, len(rows)), bool), alive[:-1]])
+        T[rows] += (_q(pk) * taken).sum(axis=0)
+        done = ~alive[-1]
+        if done.any():
+            start[rows[done]] = k + taken[:, done].sum(axis=0)
+            rows, L = rows[~done], L[~done]
+        k = last
+    if rows.size:
+        middle, start[rows] = _euler_maclaurin(L, positives[rows], top)
+        T[rows] += middle
+    return T + _closed_form_tail(logp, start, top)
+
+
+def _euler_maclaurin(L: np.ndarray, positives: np.ndarray, top: np.ndarray):
+    """(sum_{k=a}^{b} q_k, b) per row, a = head + 1 and b where S(b) is small.
+
+    The sum is the Gauss-Legendre integral of q(x) over panels of a
+    geometric grid, plus (q(a) + q(b))/2 + (q'(b) - q'(a))/12.
+    """
+    a = _EXACT_HEAD + 1.0
+    # S(x) is dominated by exp(x * log p_max); solve for the cut generously
+    x_cut = np.maximum(2.0 * a, np.log(np.maximum(positives, 2)
+                                       / (0.5 * _TAIL_S_THRESHOLD))
+                       / np.maximum(-L[:, 0], 1e-300))
+    b = np.full(len(L), a)
+    grow = _powers(L, b, top).sum(axis=1) > _TAIL_S_THRESHOLD
+    while grow.any():
+        b[grow] = np.minimum(2.0 * b[grow], x_cut[grow])
+        grow &= b < x_cut
+        grow[grow] = _powers(L[grow], b[grow], top).sum(axis=1) > _TAIL_S_THRESHOLD
+    b = np.ceil(b)
+
+    # panels of equal width in u = log x; a row past its last panel adds 0
+    panels = np.maximum(1.0, np.ceil(np.log2(b / a) * 1.5))
+    i = np.arange(panels.max())[:, None]
+    width = (np.log(b) - math.log(a)) / panels
+    lu = math.log(a) + width * np.minimum(i, panels)
+    half = np.where(i < panels, 0.5 * width, 0.0)
+    xs = np.exp((lu + half)[:, None] + half[:, None] * _GL_NODES[:, None])
+    xs = xs.reshape(-1, len(L))                 # (panels * nodes, rows)
+    w = (half[:, None] * _GL_WEIGHTS[:, None]).reshape(xs.shape) * xs
+    step = rows_chunk(L.size, _X_BUDGET)
+    integral = sum((w[j:j + step] * _q(_powers(L, xs[j:j + step], top))).sum(axis=0)
+                   for j in range(0, len(xs), step))
+
+    ends = []
+    for x in (np.full(len(L), a), b):
+        px = _powers(L, x, top)
+        log_l = np.log1p(-px).sum(axis=1)
+        # q'(x) = prod(1 - p**x) * sum(p**x log p / (1 - p**x)), 0 for p = 0
+        slope = np.exp(log_l) * (xlogy(px, px) / (1.0 - px)).sum(axis=1) / x
+        ends.append((-np.expm1(log_l), slope))
+    (fa, dfa), (fb, dfb) = ends
+    return integral + 0.5 * (fa + fb) + (dfb - dfa) / 12.0, b
+
+
+def _closed_form_tail(logp: np.ndarray, k: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """sum_{j>k} q_j per row, k per row, once S(k+1) = sum p_i**(k+1) is small.
+
+    Uses q_j <= -sum log1p(-p_i**j) expanded in powers (orders r) with exact
+    geometric sums, minus half the certified second-order correction.
+    """
+    first = np.zeros(len(logp))
+    for r in range(1, _TAIL_ORDERS + 1):
+        num = _powers(logp, r * (k + 1.0), top)
+        den = 1.0 - _powers(logp[:, :num.shape[1]], float(r), top)
+        first += (num / den).sum(axis=1) / r
+    s_next = _powers(logp, k + 1.0, top).sum(axis=1)
+    return first * (1.0 - 0.25 * s_next)

@@ -182,16 +182,14 @@ def _cmd_simulate(cfg: RunConfig) -> str:
 def _cmd_ensemble(cfg: RunConfig) -> str:
     if cfg.n is None:
         raise ConfigError("ensemble requires --n")
-    methods = [cfg.method] if cfg.method else ["moment_series"]
-    rows = []
-    for method in methods:
-        t0 = time.perf_counter()
-        est = ens.ensemble_estimate(cfg.distribution(), cfg.n, method,
-                                    trials=cfg.trials, seed=cfg.seed,
-                                    threads=cfg.threads, eps=cfg.eps)
-        rows.append({"dist": cfg.dist, "n": est.n, "method": est.method,
-                     "value": est.value, "error": est.error_bound,
-                     "runtime_seconds": time.perf_counter() - t0})
+    t0 = time.perf_counter()
+    est = ens.ensemble_estimate(cfg.distribution(), cfg.n,
+                                cfg.method or "moment_series",
+                                trials=cfg.trials, seed=cfg.seed,
+                                threads=cfg.threads, eps=cfg.eps)
+    rows = [{"dist": cfg.dist, "n": est.n, "method": est.method,
+             "value": est.value, "error": est.error_bound,
+             "runtime_seconds": time.perf_counter() - t0}]
     if (cfg.format or "csv") == "json":
         return _json({"rows": rows})
     return _rows_csv(rows, ["dist", "n", "method", "value", "error",

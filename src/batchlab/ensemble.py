@@ -32,10 +32,12 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from . import calibration
-from .batch_exact import expected_time_bulk, expected_time_fast
+# expected_time_fast is unused here; bench/layertrace.py wraps it in this module
+from .batch_exact import expected_time_bulk, expected_time_fast  # noqa: F401
 from .distributions import OverlapDistribution
 from .errors import DivergenceError, PrecisionLossError
-from .moment_zeta import zeta
+from .moment_zeta import _sum_moments, zeta
+# map_chunks is called as a module global so bench/layertrace.py can wrap it
 from .rng import (STREAM_ENSEMBLE, STREAM_EXTREMES, derive_rng, map_chunks,
                   rows_chunk)
 
@@ -137,13 +139,10 @@ def expected_time_moment_series(dist: OverlapDistribution, n: int,
     partial = 0.0
     j_done = 0
     target = _J_START
-    m_last = None
     while True:
-        js = np.arange(j_done + 1, target + 1, dtype=np.float64)
-        m = dist.moments(js)
-        with np.errstate(under="ignore"):
-            partial += float((-np.expm1(n * np.log1p(-m))).sum())
-        m_last = float(m[-1])
+        part, m_last = _sum_moments(dist, j_done + 1, target,
+                                    lambda m: -np.expm1(n * np.log1p(-m)))
+        partial += part
         j_done = target
 
         lo_t, hi_t = _series_tail_bracket(dist, alpha, c, n, j_done, m_last)
@@ -200,13 +199,10 @@ def alpha1_decomposition(dist: OverlapDistribution, n: int,
     partial = 0.0
     j_done = 0
     target = _J_START
-    m_last = None
     while True:
-        js = np.arange(j_done + 1, target + 1, dtype=np.float64)
-        m = dist.moments(js)
-        with np.errstate(under="ignore"):
-            partial += float((np.expm1(n * np.log1p(-m)) + n * m).sum())
-        m_last = float(m[-1])
+        part, m_last = _sum_moments(dist, j_done + 1, target,
+                                    lambda m: np.expm1(n * np.log1p(-m)) + n * m)
+        partial += part
         j_done = target
 
         if n * m_last <= 0.5:
@@ -476,9 +472,6 @@ def regime_window_check(dist: OverlapDistribution, n: int, trials: int,
     def chunk(i, lo, hi):
         rng = derive_rng(seed, STREAM_ENSEMBLE, 2, i)
         P = dist.sample((hi - lo) * n, rng).reshape(hi - lo, n)
-        if beta < 0.0:
-            return np.asarray([expected_time_fast(row).steps_expectation
-                               for row in P])
         return expected_time_bulk(P) + 1.0
 
     t = np.concatenate(map_chunks(chunk, trials, threads=threads,
@@ -533,12 +526,8 @@ def ensemble_estimate(dist: OverlapDistribution, n: int, method: str,
     if method == "integral_asymptotic":
         return EnsembleEstimate(n, method, expected_time_integral(dist, n), None)
     if method == "monte_carlo":
-        from .simulators import run_trials
+        from .simulators import _median_ci_halfwidth, run_trials
         times = run_trials("batch", dist, n, trials, seed, threads=threads).times
-        value = float(np.median(times))
-        lo = max(trials // 2 - int(1.96 * math.sqrt(trials) / 2) - 1, 0)
-        hi = min(trials // 2 + int(1.96 * math.sqrt(trials) / 2), trials - 1)
-        srt = np.sort(times)
-        return EnsembleEstimate(n, method, value,
-                                float(0.5 * (srt[hi] - srt[lo])))
+        return EnsembleEstimate(n, method, float(np.median(times)),
+                                _median_ci_halfwidth(times))
     raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")

@@ -31,7 +31,8 @@ from .distributions import OverlapDistribution, parse_dist
 from .ensemble import expected_time_moment_series
 from .errors import ConfigError
 from .rng import STREAM_SCALING, derive_rng
-from .simulators import DEFAULT_HORIZON, empirical_n_delta, run_trials
+from .simulators import (DEFAULT_HORIZON, _median_ci_halfwidth,
+                         empirical_n_delta, run_trials)
 
 SCHEMA_SCALING = "batchlab/scaling-report/v1"
 SCHEMA_COMPARISON = "batchlab/comparison-table/v1"
@@ -92,7 +93,7 @@ class RunConfig:
             raise ConfigError("eps must be positive")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.seed < 0:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a nonnegative 64-bit integer")
         self.distribution()
         if self.command == "scaling":
@@ -293,15 +294,6 @@ def run_scaling(config: RunConfig) -> ScalingReport:
         fitted_exponent=fit.exponent, exponent_ci=ci,
         runtime_seconds=tuple(runtimes), discarded=fit.discarded,
         trials=config.trials, seed=config.seed)
-
-
-def _median_ci_halfwidth(times: np.ndarray) -> float:
-    srt = np.sort(times)
-    t = srt.size
-    half = int(1.96 * math.sqrt(t) / 2.0)
-    lo = max(t // 2 - half - 1, 0)
-    hi = min(t // 2 + half, t - 1)
-    return float(0.5 * (srt[hi] - srt[lo]))
 
 
 def _bootstrap_exponent_ci(config, samples, values, fit) -> tuple:

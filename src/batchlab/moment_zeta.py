@@ -20,7 +20,6 @@ y/(1 - y).  Both sides are undefined when n * alpha <= 1.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -29,49 +28,12 @@ from scipy.integrate import quad
 
 from .distributions import SCALED, OverlapDistribution
 from .errors import DivergenceError, PrecisionLossError
+# map_chunks is called as a module global so bench/layertrace.py can wrap it
 from .rng import STREAM_ZETA_CHECK, derive_rng, map_chunks, rows_chunk
 
 _K_START = 1_000
 _K_CAP = 1 << 24
 _SUM_CHUNK = 1 << 20
-
-
-class MomentSequence:
-    """Append-only cache of the moments m_1, m_2, ... of one distribution.
-
-    Thread-safe: growth happens under a lock; reads return views of an array
-    that is never mutated in place (grow-by-copy).
-    """
-
-    def __init__(self, dist: OverlapDistribution):
-        self.dist = dist
-        if dist.has_power_tail:
-            self.alpha, self.tail_constant = dist.tail_parameters()
-        else:
-            self.alpha, self.tail_constant = None, None
-        self._values = np.empty(0)
-        self._lock = threading.Lock()
-
-    def prefix(self, k_max: int) -> np.ndarray:
-        """Array of m_1 .. m_{k_max} (read-only view)."""
-        if k_max > self._values.size:
-            with self._lock:
-                if k_max > self._values.size:
-                    grown = max(k_max, 2 * self._values.size, 1024)
-                    new = np.empty(grown)
-                    have = self._values.size
-                    new[:have] = self._values
-                    new[have:] = self.dist.moments(
-                        np.arange(have + 1, grown + 1, dtype=np.float64))
-                    self._values = new
-        view = self._values[:k_max]
-        view.flags.writeable = False
-        return view
-
-    def __getitem__(self, k: int) -> float:
-        if k < 1:
-            raise IndexError("moments are indexed from k = 1")
-        return float(self.prefix(k)[k - 1])
 
 
 @dataclass(frozen=True)
@@ -172,15 +134,9 @@ def zeta(dist: OverlapDistribution, s: float, eps: float = 1e-9) -> ZetaValue:
     partial = 0.0
     k_done = 0
     k_target = _K_START
-    m_last = None
     while True:
-        for lo in range(k_done + 1, k_target + 1, _SUM_CHUNK):
-            hi = min(lo + _SUM_CHUNK - 1, k_target)
-            ks = np.arange(lo, hi + 1, dtype=np.float64)
-            m = dist.moments(ks)
-            with np.errstate(under="ignore"):
-                partial += float(np.sum(m ** s))
-            m_last = float(m[-1])
+        part, m_last = _sum_moments(dist, k_done + 1, k_target, lambda m: m ** s)
+        partial += part
         k_done = k_target
 
         lo_tail, hi_tail = _tail_bracket(dist, alpha, c, s, k_done, m_last)
@@ -195,6 +151,17 @@ def zeta(dist: OverlapDistribution, s: float, eps: float = 1e-9) -> ZetaValue:
                 f"zeta truncation stalled at K = {k_done}: tail bound {err:g} "
                 f"exceeds eps = {eps:g}{detail}")
         k_target = min(2 * k_done, _K_CAP)
+
+
+def _sum_moments(dist, lo: int, hi: int, term) -> tuple[float, float]:
+    """(sum of term(m_j) for j = lo..hi, m_hi), in chunks of _SUM_CHUNK moments."""
+    total = 0.0
+    for start in range(lo, hi + 1, _SUM_CHUNK):
+        js = np.arange(start, min(start + _SUM_CHUNK - 1, hi) + 1, dtype=np.float64)
+        m = dist.moments(js)
+        with np.errstate(under="ignore"):
+            total += float(np.sum(term(m)))
+    return total, float(m[-1])
 
 
 def _tail_bracket(dist, alpha, c, s, k, m_k):

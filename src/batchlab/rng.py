@@ -9,7 +9,7 @@ worker count never changes which stream produced which trial.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,9 +39,12 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """Child generator for (master_seed, path).
 
     The same (seed, path) always yields the same stream; distinct paths give
-    statistically independent streams via SeedSequence spawn keys.
+    statistically independent streams via SeedSequence spawn keys.  Seeds
+    outside [0, 2**64) raise ValueError rather than alias a smaller seed.
     """
-    ss = np.random.SeedSequence(entropy=int(master_seed) & (2**64 - 1),
+    if not 0 <= int(master_seed) < 2**64:
+        raise ValueError(f"master seed {master_seed} is outside [0, 2**64)")
+    ss = np.random.SeedSequence(entropy=int(master_seed),
                                 spawn_key=tuple(int(x) for x in path))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -70,10 +73,3 @@ def map_chunks(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, i, lo, hi) for i, (lo, hi) in enumerate(bounds)]
         return [f.result() for f in futures]
-
-
-def concat_chunked(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate per-chunk arrays (already in chunk order)."""
-    if not parts:
-        return np.empty(0)
-    return np.concatenate(parts)

@@ -29,6 +29,7 @@ import numpy as np
 from .batch_exact import _as_p
 from .distributions import OverlapDistribution
 from .errors import CensoringError, DivergenceError
+# map_chunks is called as a module global so bench/layertrace.py can wrap it
 from .rng import (STREAM_BATCH, STREAM_FULL_MEMORY, STREAM_MEMORYLESS,
                   derive_rng, map_chunks, rows_chunk)
 
@@ -79,11 +80,22 @@ class TrialBatch:
         }
 
 
+def _median_ci_halfwidth(times: np.ndarray) -> float:
+    """Half-width of the ~95% order-statistic interval around the median."""
+    srt = np.sort(times)
+    t = srt.size
+    half = int(1.96 * math.sqrt(t) / 2.0)
+    lo = max(t // 2 - half - 1, 0)
+    hi = min(t // 2 + half, t - 1)
+    return float(0.5 * (srt[hi] - srt[lo]))
+
+
 # ----------------------------------------------------------------------
 # batch learner
 # ----------------------------------------------------------------------
 
 
+# called as a module global so bench/layertrace.py can wrap it
 def geometric_steps(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per-concept lifetimes: G_i on {1,2,...} with P(G > k) = p_i**k."""
     u = 1.0 - rng.random(p.shape)              # (0, 1]

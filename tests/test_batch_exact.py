@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from batchlab.batch_exact import (coarse_bounds, expected_time_bulk,
                                   expected_time_fast, expected_time_series,
                                   expected_time_subsets, n_delta, sandwich,
-                                  survival, survival_bulk, survival_curve)
+                                  survival, survival_bulk)
 from batchlab.errors import DivergenceError, PrecisionLossError
 
 overlap_vectors = st.lists(
@@ -62,12 +62,14 @@ class TestSurvival:
 
     def test_survival_curve_invariants(self):
         p = [0.2, 0.6, 0.85]
-        curve = survival_curve(p, eps=1e-10)
-        assert np.all(curve.q >= 0.0) and np.all(curve.q <= 1.0)
-        assert np.all(np.diff(curve.q) <= 1e-15)
-        remainder = sum(survival(p, k) for k in
-                        range(curve.truncation_k + 1, curve.truncation_k + 2000))
-        assert remainder <= curve.tail_bound
+        k_max = 200                  # 3 * 0.85**201 / 0.15 < 1e-12
+        q = survival_bulk(p, np.arange(1, k_max + 1))
+        assert np.all(q >= 0.0) and np.all(q <= 1.0)
+        assert np.all(np.diff(q) <= 1e-15)
+        assert_allclose(q[[0, 9, 99]], [survival(p, k) for k in (1, 10, 100)],
+                        rtol=1e-15)
+        remainder = sum(survival(p, k) for k in range(k_max + 1, k_max + 2000))
+        assert remainder <= 3 * 0.85 ** (k_max + 1) / 0.15
 
 
 class TestExpectedTimeSeries:
@@ -220,9 +222,23 @@ class TestLargeScaleEvaluators:
     def test_bulk_matches_series(self, rng):
         P = rng.random((40, 12)) * np.asarray(
             [0.9, 0.99, 0.999, 0.9999] * 10)[:, None]
+        P[::3, :4] = 0.0                        # zero entries
+        P[1::5, 5] = P[1::5, 6]                 # duplicate entries
+        P[2::7, :6] *= 1e-3                     # mixed scales within a row
+        P[5] = 0.0                              # an all-zero row
         got = expected_time_bulk(P)
         want = np.asarray([expected_time_series(r, eps=1e-9).t for r in P])
         assert_allclose(got, want, rtol=3e-5)
+
+    def test_bulk_rows_do_not_depend_on_each_other(self, rng):
+        # rows retiring in the head next to rows that need the integral
+        P = np.concatenate([rng.random((6, 50)) * 0.9,
+                            1.0 - rng.random((6, 50)) ** 3 * 1e-2,
+                            rng.random((6, 50)) ** 0.25])
+        P[::4, 10:] = 0.0
+        got = expected_time_bulk(P)
+        for row, t in zip(P, got):
+            assert_allclose(t, expected_time_fast(row).t, rtol=1e-12)
 
     def test_bulk_empty_and_edge(self):
         assert expected_time_bulk(np.empty((0, 3))).size == 0

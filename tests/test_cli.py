@@ -109,6 +109,13 @@ class TestSimulateCommand:
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
 
+    def test_seed_beyond_64_bits_rejected(self, capsys):
+        # 2**64 must not alias seed 0
+        code, out, err = run_cli(["simulate", "--alg", "batch", "--dist", "uniform",
+                                  "--n", "10", "--trials", "5",
+                                  "--seed", "18446744073709551616"], capsys)
+        assert code == 2 and out == "" and "seed" in err
+
 
 class TestEnsembleAndExtremes:
     def test_ensemble_csv_default(self, capsys):

@@ -8,8 +8,7 @@ from numpy.testing import assert_allclose
 
 from batchlab.distributions import power_tail, scaled, uniform
 from batchlab.errors import DivergenceError
-from batchlab.moment_zeta import (MomentSequence, mellin,
-                                  verify_zeta_expectation, zeta)
+from batchlab.moment_zeta import mellin, verify_zeta_expectation, zeta
 from tests.conftest import MASTER_SEED
 
 
@@ -113,24 +112,6 @@ class TestZetaValues:
             tight = zeta(dist, s, eps=1e-10)
             assert abs(loose.value - tight.value) <= loose.error_bound
             assert tight.k_used > loose.k_used
-
-
-class TestMomentSequence:
-    def test_cache_matches_moment(self):
-        ms = MomentSequence(power_tail(1.0))
-        for k in (1, 5, 100, 3, 2048):
-            assert ms[k] == power_tail(1.0).moment(k)
-        assert ms.alpha == 2.0
-
-    def test_prefix_append_only(self):
-        ms = MomentSequence(uniform())
-        first = ms.prefix(10).copy()
-        ms.prefix(10000)
-        assert_allclose(ms.prefix(10), first, rtol=0)
-
-    def test_no_power_tail_fields(self):
-        ms = MomentSequence(scaled(0.5, uniform()))
-        assert ms.alpha is None and ms.tail_constant is None
 
 
 class TestZetaExpectation:
