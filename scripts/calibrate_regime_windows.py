@@ -17,15 +17,12 @@ import numpy as np
 
 from batchlab import distributions as dist_mod
 from batchlab.batch_exact import expected_time_bulk
-from batchlab.rng import derive_rng, map_chunks, rows_chunk
+from batchlab.simulators import _map_overlap_rows
 
 
 def sample_word_counts(dist, n, trials, seed):
-    def chunk(i, lo, hi):
-        rng = derive_rng(seed, 99, i)
-        P = dist.sample((hi - lo) * n, rng).reshape(hi - lo, n)
-        return expected_time_bulk(P) + 1.0
-    return np.concatenate(map_chunks(chunk, trials, chunk_size=rows_chunk(n)))
+    return _map_overlap_rows(lambda P, rng: expected_time_bulk(P) + 1.0,
+                             dist, n, trials, seed, (99,))
 
 
 def report(name, stat, lo_rate, hi_rate):

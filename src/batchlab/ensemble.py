@@ -37,9 +37,9 @@ from .batch_exact import expected_time_bulk, expected_time_fast  # noqa: F401
 from .distributions import OverlapDistribution
 from .errors import DivergenceError, PrecisionLossError
 from .moment_zeta import _sum_moments, zeta
-# map_chunks is called as a module global so bench/layertrace.py can wrap it
-from .rng import (STREAM_ENSEMBLE, STREAM_EXTREMES, derive_rng, map_chunks,
-                  rows_chunk)
+# map_chunks is unused here; bench/layertrace.py patches it in this module
+from .rng import STREAM_ENSEMBLE, STREAM_EXTREMES, map_chunks  # noqa: F401
+from .simulators import _map_overlap_rows, _median_ci_halfwidth, run_trials
 
 _J_START = 1024
 _J_CAP = 1 << 26
@@ -325,13 +325,9 @@ def sum_inverse_gap_concentration(dist: OverlapDistribution, n: int,
     alpha, _ = dist.tail_parameters()
     beta = alpha - 1.0
 
-    def chunk(i, lo, hi):
-        rng = derive_rng(seed, STREAM_ENSEMBLE, 1, i)
-        P = dist.sample((hi - lo) * n, rng).reshape(hi - lo, n)
-        return (1.0 / (1.0 - P)).sum(axis=1)
-
-    s = np.concatenate(map_chunks(chunk, trials, threads=threads,
-                                  chunk_size=rows_chunk(n)))
+    s = _map_overlap_rows(lambda P, rng: (1.0 / (1.0 - P)).sum(axis=1),
+                          dist, n, trials, seed, (STREAM_ENSEMBLE, 1),
+                          threads=threads)
     if beta > 0.0:
         stat, normalizer = s / n, "n"
         target = _mean_inverse_gap(dist)
@@ -403,12 +399,9 @@ def extreme_value(dist: OverlapDistribution, n_values: Sequence[int],
     ks_n = max(n_values)
     ks_sample = None
     for j, n in enumerate(n_values):
-        def chunk(i, lo, hi, n=n, j=j):
-            rng = derive_rng(seed, STREAM_EXTREMES, j, i)
-            P = dist.sample((hi - lo) * n, rng).reshape(hi - lo, n)
-            return (1.0 - P).min(axis=1)
-        qmin = np.concatenate(map_chunks(chunk, trials, threads=threads,
-                                         chunk_size=rows_chunk(n)))
+        qmin = _map_overlap_rows(lambda P, rng: (1.0 - P).min(axis=1),
+                                 dist, n, trials, seed, (STREAM_EXTREMES, j),
+                                 threads=threads)
         means.append(float(qmin.mean()))
         errs.append(float(qmin.std(ddof=1) / math.sqrt(qmin.size)))
         if n == ks_n:
@@ -469,13 +462,9 @@ def regime_window_check(dist: OverlapDistribution, n: int, trials: int,
     alpha, _ = dist.tail_parameters()
     beta = alpha - 1.0
 
-    def chunk(i, lo, hi):
-        rng = derive_rng(seed, STREAM_ENSEMBLE, 2, i)
-        P = dist.sample((hi - lo) * n, rng).reshape(hi - lo, n)
-        return expected_time_bulk(P) + 1.0
-
-    t = np.concatenate(map_chunks(chunk, trials, threads=threads,
-                                  chunk_size=rows_chunk(n)))
+    t = _map_overlap_rows(lambda P, rng: expected_time_bulk(P) + 1.0,
+                          dist, n, trials, seed, (STREAM_ENSEMBLE, 2),
+                          threads=threads)
     rate = n ** (1.0 / (1.0 + beta))
     if beta > 0.0:
         c1, c2 = calibration.POSITIVE_BETA_WINDOW
@@ -526,7 +515,6 @@ def ensemble_estimate(dist: OverlapDistribution, n: int, method: str,
     if method == "integral_asymptotic":
         return EnsembleEstimate(n, method, expected_time_integral(dist, n), None)
     if method == "monte_carlo":
-        from .simulators import _median_ci_halfwidth, run_trials
         times = run_trials("batch", dist, n, trials, seed, threads=threads).times
         return EnsembleEstimate(n, method, float(np.median(times)),
                                 _median_ci_halfwidth(times))

@@ -31,7 +31,7 @@ from .distributions import OverlapDistribution, parse_dist
 from .ensemble import expected_time_moment_series
 from .errors import ConfigError
 from .rng import STREAM_SCALING, derive_rng
-from .simulators import (DEFAULT_HORIZON, _median_ci_halfwidth,
+from .simulators import (ALGORITHMS, DEFAULT_HORIZON, _median_ci_halfwidth,
                          empirical_n_delta, run_trials)
 
 SCHEMA_SCALING = "batchlab/scaling-report/v1"
@@ -93,6 +93,8 @@ class RunConfig:
             raise ConfigError("eps must be positive")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.horizon < 1:
+            raise ConfigError("horizon must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a nonnegative 64-bit integer")
         self.distribution()
@@ -359,10 +361,9 @@ def compare_algorithms(config: RunConfig) -> ComparisonTable:
     config = dataclasses.replace(config, command="compare").validate()
     dist = config.distribution()
     n_values = tuple(int(v) for v in (config.n_sweep or (config.n,)))
-    algorithms = ("batch", "memoryless", "full_memory")
-    table = {alg: [] for alg in algorithms}
+    table = {alg: [] for alg in ALGORITHMS}
     for n in n_values:
-        for alg in algorithms:
+        for alg in ALGORITHMS:
             table[alg].append(empirical_n_delta(
                 alg, dist, n, config.delta, config.trials, config.seed,
                 horizon=config.horizon, threads=config.threads))
@@ -376,7 +377,7 @@ def compare_algorithms(config: RunConfig) -> ComparisonTable:
                     f"memoryless {table['memoryless'][i]}")
     return ComparisonTable(dist=config.dist, delta=config.delta,
                            trials=config.trials, seed=config.seed,
-                           n_values=n_values, algorithms=algorithms,
+                           n_values=n_values, algorithms=ALGORITHMS,
                            n_delta={a: tuple(v) for a, v in table.items()},
                            violations=tuple(violations))
 

@@ -21,15 +21,15 @@ y/(1 - y).  Both sides are undefined when n * alpha <= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 from scipy.integrate import quad
 
 from .distributions import SCALED, OverlapDistribution
 from .errors import DivergenceError, PrecisionLossError
-# map_chunks is called as a module global so bench/layertrace.py can wrap it
-from .rng import STREAM_ZETA_CHECK, derive_rng, map_chunks, rows_chunk
+# map_chunks is unused here; bench/layertrace.py patches it in this module
+from .rng import STREAM_ZETA_CHECK, map_chunks  # noqa: F401
+from .simulators import _map_overlap_rows
 
 _K_START = 1_000
 _K_CAP = 1 << 24
@@ -187,7 +187,7 @@ def verify_zeta_expectation(
     dist: OverlapDistribution,
     n: int,
     trials: int,
-    seed: Union[int, np.random.Generator],
+    seed: int,
     threads: int = 1,
     eps: float = 1e-9,
 ) -> ZetaExpectationCheck:
@@ -215,14 +215,8 @@ def verify_zeta_expectation(
     else:
         variance_finite = True
 
-    if isinstance(seed, np.random.Generator):
-        parts = [_zeta_check_chunk(seed, dist, n, trials)]
-    else:
-        parts = map_chunks(
-            lambda i, lo, hi: _zeta_check_chunk(
-                derive_rng(seed, STREAM_ZETA_CHECK, i), dist, n, hi - lo),
-            trials, threads=threads, chunk_size=rows_chunk(n))
-    z = np.concatenate(parts)
+    z = _map_overlap_rows(_odds_of_product, dist, n, trials, seed,
+                          (STREAM_ZETA_CHECK,), threads=threads)
 
     mean = float(z.mean())
     stderr = float(z.std(ddof=1) / np.sqrt(z.size)) if z.size > 1 else np.inf
@@ -239,7 +233,6 @@ def verify_zeta_expectation(
     )
 
 
-def _zeta_check_chunk(rng, dist, n, count):
-    x = dist.sample(count * n, rng).reshape(count, n)
-    y = np.prod(x, axis=1)
+def _odds_of_product(P, rng):
+    y = np.prod(P, axis=1)
     return y / (1.0 - y)

@@ -7,28 +7,32 @@
   reference simulator is kept for oracle tests.
 * memoryless: hold a uniformly random concept until a word contradicts it
   (probability 1 - p_i per word), then re-pick uniformly over all n+1
-  concepts (policy switch: optionally exclude the concept just rejected).
-  The settle time is the index of the re-pick that lands on the target,
-  0 if the initial pick is already correct; runs are censored at a horizon.
+  concepts (the word-level simulator can instead exclude the concept just
+  rejected).  The settle time is the index of the re-pick that lands on the
+  target, 0 if the initial pick is already correct; runs are censored at a
+  horizon.
 * full memory: like memoryless, but rejected concepts are never revisited,
   so the run terminates surely.
 
-Bulk runners are vectorized samplers with the same law as the single-trial
-loops (tested against them) and derive per-chunk streams from a master
-seed, so results are reproducible and independent of thread count.
+Each learner has one vectorized sampler that takes a ``(trials, n)`` overlap
+matrix and returns one time per row, with the same law as the single-trial
+loops (tested against them).  ``run_trials`` only decides where the matrix
+comes from: one fixed vector repeated, or fresh rows drawn from the overlap
+law.  Rows are drawn in fixed chunks from per-chunk streams derived from a
+master seed, so results are reproducible and independent of thread count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .batch_exact import _as_p
 from .distributions import OverlapDistribution
-from .errors import CensoringError, DivergenceError
+from .errors import CensoringError
 # map_chunks is called as a module global so bench/layertrace.py can wrap it
 from .rng import (STREAM_BATCH, STREAM_FULL_MEMORY, STREAM_MEMORYLESS,
                   derive_rng, map_chunks, rows_chunk)
@@ -57,7 +61,6 @@ class TrialBatch:
     dist_spec: str
     resample_p: bool
     horizon: Optional[int] = None
-    fixed_p: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def censored(self) -> int:
@@ -97,12 +100,18 @@ def _median_ci_halfwidth(times: np.ndarray) -> float:
 
 # called as a module global so bench/layertrace.py can wrap it
 def geometric_steps(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-concept lifetimes: G_i on {1,2,...} with P(G > k) = p_i**k."""
-    u = 1.0 - rng.random(p.shape)              # (0, 1]
+    """Per-concept lifetimes: G_i on {1,2,...} with P(G > k) = p_i**k.
+
+    p_i = 0 gives 1 and p_i = 1 gives +inf.
+    """
+    g = rng.random(p.shape)
+    np.subtract(1.0, g, out=g)                 # (0, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.ceil(np.log(u) / np.log(p))
-    g = np.where(p == 0.0, 1.0, g)
-    return np.maximum(g, 1.0)
+        np.log(g, out=g)
+        g /= np.log(p)
+    np.ceil(g, out=g)
+    np.abs(g, out=g)                           # p = 1: log(u) / +0 is -inf
+    return np.maximum(g, 1.0, out=g)
 
 
 def simulate_batch(p, rng: np.random.Generator) -> int:
@@ -111,20 +120,6 @@ def simulate_batch(p, rng: np.random.Generator) -> int:
     if arr.size == 0:
         return 0
     return int(geometric_steps(arr, rng).max())
-
-
-def simulate_batch_bulk(p, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """``trials`` batch trials over one fixed overlap vector."""
-    arr = _as_p(p)
-    if arr.size == 0:
-        return np.zeros(trials)
-    out = np.empty(trials)
-    step = max(1, int(4e6) // max(arr.size, 1))
-    for lo in range(0, trials, step):
-        hi = min(lo + step, trials)
-        tiled = np.broadcast_to(arr, (hi - lo, arr.size))
-        out[lo:hi] = geometric_steps(tiled, rng).max(axis=1)
-    return out
 
 
 def simulate_batch_wordlevel(p, rng: np.random.Generator) -> int:
@@ -139,6 +134,13 @@ def simulate_batch_wordlevel(p, rng: np.random.Generator) -> int:
         k += 1
         alive = alive[rng.random(alive.size) < arr[alive]]
     return k if arr.size else 0
+
+
+def batch_times(P: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Batch learning time k0 = max_i G_i for each row of ``P``; 0 when n = 0."""
+    if P.shape[1] == 0:
+        return np.zeros(P.shape[0])
+    return geometric_steps(P, rng).max(axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -198,54 +200,67 @@ def simulate_full_memory(p, rng: np.random.Generator) -> int:
             return t
 
 
-def memoryless_settle_bulk(p, trials: int, rng: np.random.Generator,
-                           horizon: int = DEFAULT_HORIZON) -> np.ndarray:
-    """Vectorized memoryless settle times (include-current re-pick policy).
+def memoryless_times(P: np.ndarray, rng: np.random.Generator,
+                     horizon: int = DEFAULT_HORIZON) -> np.ndarray:
+    """Memoryless settle time for each row of ``P`` (include-current re-pick).
 
     Law-equivalent composition: the number of wrong holds is geometric on
     {0,1,...} with success 1/(n+1); each hold lasts Geom(1 - p_I) words with
     I uniform over wrong concepts.  Censoring (settle > horizon) matches the
     word-level loop exactly.  Returns float64 with inf for censored trials.
     """
-    arr = _as_p(p, forbid_one=False)
-    n = arr.size
+    count, n = P.shape
     if n == 0:
-        return np.zeros(trials)
-    picks = rng.geometric(1.0 / (n + 1), size=trials) - 1
-    total = np.zeros(trials)
+        return np.zeros(count)
+    picks = rng.geometric(1.0 / (n + 1), size=count) - 1
+    total = np.zeros(count)
     flat = int(picks.sum())
     if flat:
-        holder = np.repeat(np.arange(trials), picks)
+        holder = np.repeat(np.arange(count), picks)
         idx = rng.integers(0, n, size=flat)
-        waits = geometric_steps(arr[idx], rng)
+        waits = geometric_steps(P[holder, idx], rng)
         np.add.at(total, holder, waits)
     return np.where(total > horizon, np.inf, total)
 
 
-def full_memory_settle_bulk(p, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized full-memory settle times over one fixed vector.
+def full_memory_times(P: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Full-memory settle time for each row of ``P``.
 
     A concept is held before the target exactly when its uniform rank
     variable falls below the target's; waits are independent geometrics.
     """
-    arr = _as_p(p)
-    n = arr.size
+    count, n = P.shape
     if n == 0:
-        return np.zeros(trials)
-    out = np.empty(trials)
-    step = max(1, int(4e6) // max(n + 1, 1))
-    for lo in range(0, trials, step):
-        hi = min(lo + step, trials)
-        v = rng.random((hi - lo, n + 1))
-        before = v[:, 1:] < v[:, :1]
-        waits = geometric_steps(np.broadcast_to(arr, (hi - lo, n)), rng)
-        out[lo:hi] = (waits * before).sum(axis=1)
-    return out
+        return np.zeros(count)
+    v = rng.random((count, n + 1))
+    before = v[:, 1:] < v[:, :1]
+    waits = geometric_steps(P, rng)
+    return (waits * before).sum(axis=1)
 
 
 # ----------------------------------------------------------------------
-# batch runners (fresh p per trial or fixed p), deterministic under threads
+# chunked runners (fresh p per trial or fixed p), deterministic under threads
 # ----------------------------------------------------------------------
+
+
+def _map_overlap_rows(fn, dist: Optional[OverlapDistribution], n: int,
+                      rows: int, seed: int, path: tuple, threads: int = 1,
+                      fixed_p: Optional[np.ndarray] = None) -> np.ndarray:
+    """``fn(P, rng)`` over ``rows`` overlap rows, concatenated in chunk order.
+
+    Chunk i covers up to ``rows_chunk(n)`` of the rows and draws from
+    ``derive_rng(seed, *path, i)``.  Its matrix ``P`` repeats ``fixed_p``
+    when given; otherwise ``P`` is drawn from ``dist`` on that stream before
+    ``fn`` draws from it.
+    """
+    def chunk(i: int, lo: int, hi: int) -> np.ndarray:
+        rng = derive_rng(seed, *path, i)
+        if fixed_p is not None:
+            return fn(np.broadcast_to(fixed_p, (hi - lo, n)), rng)
+        return fn(dist.sample((hi - lo) * n, rng).reshape(hi - lo, n), rng)
+
+    return np.concatenate(map_chunks(chunk, rows, threads=threads,
+                                     chunk_size=rows_chunk(n)))
 
 
 def run_trials(
@@ -257,7 +272,6 @@ def run_trials(
     fixed_p: Optional[np.ndarray] = None,
     horizon: int = DEFAULT_HORIZON,
     threads: int = 1,
-    exclude_current: bool = False,
 ) -> TrialBatch:
     """Run ``trials`` independent trials and collect a :class:`TrialBatch`.
 
@@ -268,69 +282,21 @@ def run_trials(
         raise ValueError(f"unknown algorithm {algorithm!r}; pick one of {ALGORITHMS}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     if fixed_p is not None:
         fixed_p = _as_p(fixed_p, forbid_one=(algorithm != "memoryless"))
         n = fixed_p.size
-    stream = _ALG_STREAM[algorithm]
-
-    def chunk(i: int, lo: int, hi: int) -> np.ndarray:
-        rng = derive_rng(seed, stream, i)
-        count = hi - lo
-        if fixed_p is not None:
-            return _fixed_p_chunk(algorithm, fixed_p, count, rng, horizon,
-                                  exclude_current)
-        return _fresh_p_chunk(algorithm, dist, n, count, rng, horizon,
-                              exclude_current)
-
-    times = np.concatenate(map_chunks(chunk, trials, threads=threads,
-                                      chunk_size=rows_chunk(max(n, 1))))
+    sampler = {"batch": batch_times,
+               "memoryless": lambda P, rng: memoryless_times(P, rng, horizon),
+               "full_memory": full_memory_times}[algorithm]
+    times = _map_overlap_rows(sampler, dist, n, trials, seed,
+                              (_ALG_STREAM[algorithm],), threads=threads,
+                              fixed_p=fixed_p)
     return TrialBatch(algorithm=algorithm, n=n, times=times, seed=seed,
-                      dist_spec=dist.spec if dist is not None else "fixed",
+                      dist_spec="fixed" if fixed_p is not None else dist.spec,
                       resample_p=fixed_p is None,
-                      horizon=horizon if algorithm == "memoryless" else None,
-                      fixed_p=fixed_p)
-
-
-def _fixed_p_chunk(algorithm, p, count, rng, horizon, exclude_current):
-    if algorithm == "batch":
-        return simulate_batch_bulk(p, count, rng)
-    if algorithm == "memoryless":
-        if exclude_current:
-            out = np.empty(count)
-            for i in range(count):
-                t = simulate_memoryless(p, rng, horizon, True)
-                out[i] = np.inf if t is None else t
-            return out
-        return memoryless_settle_bulk(p, count, rng, horizon)
-    return full_memory_settle_bulk(p, count, rng)
-
-
-def _fresh_p_chunk(algorithm, dist, n, count, rng, horizon, exclude_current):
-    if n == 0:
-        return np.zeros(count)
-    P = dist.sample(count * n, rng).reshape(count, n)
-    if algorithm == "batch":
-        return geometric_steps(P, rng).max(axis=1)
-    if algorithm == "memoryless":
-        if exclude_current:
-            out = np.empty(count)
-            for i in range(count):
-                t = simulate_memoryless(P[i], rng, horizon, True)
-                out[i] = np.inf if t is None else t
-            return out
-        picks = rng.geometric(1.0 / (n + 1), size=count) - 1
-        total = np.zeros(count)
-        flat = int(picks.sum())
-        if flat:
-            holder = np.repeat(np.arange(count), picks)
-            idx = rng.integers(0, n, size=flat)
-            waits = geometric_steps(P[holder, idx], rng)
-            np.add.at(total, holder, waits)
-        return np.where(total > horizon, np.inf, total)
-    v = rng.random((count, n + 1))
-    before = v[:, 1:] < v[:, :1]
-    waits = geometric_steps(P, rng)
-    return (waits * before).sum(axis=1)
+                      horizon=horizon if algorithm == "memoryless" else None)
 
 
 def empirical_n_delta(

@@ -93,6 +93,7 @@ class TestSimulateCommand:
                                 "--seed", "2"], capsys)
         assert code == 0
         assert json.loads(out)["n"] == 2
+        assert json.loads(out)["dist"] == "fixed"
 
     def test_censoring_exit_code(self, capsys):
         code, _, err = run_cli(["simulate", "--alg", "memoryless", "--dist",
@@ -101,6 +102,13 @@ class TestSimulateCommand:
                                 "0.1"], capsys)
         # summary reports censored trials rather than failing
         assert code == 0
+
+    def test_horizon_below_one_rejected(self, capsys):
+        code, _, err = run_cli(["simulate", "--alg", "memoryless", "--dist",
+                                "uniform", "--n", "5", "--trials", "5",
+                                "--horizon", "-1"], capsys)
+        assert code == 2
+        assert "horizon" in err
 
     def test_seed_reproducibility(self, capsys):
         args = ["simulate", "--alg", "memoryless", "--dist", "uniform",

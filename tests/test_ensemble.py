@@ -11,7 +11,7 @@ from batchlab import ensemble as en
 from batchlab.batch_exact import expected_time_bulk, expected_time_subsets_bulk
 from batchlab.distributions import power_tail, scaled, uniform
 from batchlab.errors import DivergenceError, PrecisionLossError
-from batchlab.rng import derive_rng
+from batchlab.rng import STREAM_ENSEMBLE, derive_rng
 from tests.conftest import MASTER_SEED
 
 
@@ -241,6 +241,18 @@ class TestRegimeWindows:
         assert "outside-analyzed-regime" in rep.regime
         mild = en.regime_window_check(power_tail(-0.3), 200, 200, MASTER_SEED)
         assert mild.regime == "tight"
+
+    def test_values_rebuilt_from_stream(self):
+        # the rows of chunk 0 come from (seed, STREAM_ENSEMBLE, 2, 0); the
+        # benchmark rebuilds them from that stream to check this report
+        n, trials = 300, 200
+        rep = en.regime_window_check(uniform(), n, trials, MASTER_SEED)
+        rng = derive_rng(MASTER_SEED, STREAM_ENSEMBLE, 2, 0)
+        t = expected_time_bulk(uniform().sample(trials * n, rng)
+                               .reshape(trials, n)) + 1.0
+        assert rep.median_t == float(np.quantile(t, 0.5))
+        within = (t >= rep.window_low) & (t <= rep.window_high)
+        assert rep.fraction_within == float(within.mean())
 
 
 class TestDispatcher:

@@ -140,8 +140,3 @@ class TestZetaExpectation:
         a = verify_zeta_expectation(uniform(), 3, 200000, MASTER_SEED, threads=1)
         b = verify_zeta_expectation(uniform(), 3, 200000, MASTER_SEED, threads=4)
         assert a == b
-
-    def test_generator_input_accepted(self):
-        rng = np.random.default_rng(1)
-        chk = verify_zeta_expectation(uniform(), 3, 1000, rng)
-        assert math.isfinite(chk.mc_estimate)

@@ -10,12 +10,18 @@ from scipy import stats
 from batchlab.batch_exact import expected_time_series, survival
 from batchlab.distributions import power_tail, uniform
 from batchlab.errors import CensoringError, DivergenceError
-from batchlab.simulators import (empirical_n_delta, full_memory_settle_bulk,
-                                 memoryless_settle_bulk, run_trials,
-                                 simulate_batch, simulate_batch_bulk,
+from batchlab.simulators import (batch_times, empirical_n_delta,
+                                 full_memory_times, memoryless_times,
+                                 run_trials, simulate_batch,
                                  simulate_batch_wordlevel, simulate_full_memory,
                                  simulate_memoryless)
 from tests.conftest import MASTER_SEED
+
+
+def tiled(p, trials):
+    """The (trials, n) overlap matrix that repeats one vector."""
+    p = np.asarray(p, dtype=np.float64)
+    return np.broadcast_to(p, (trials, p.size))
 
 
 def memoryless_mean_oracle(p):
@@ -72,7 +78,7 @@ class TestBatchSimulator:
         assert simulate_batch([], rng) == 0
 
     def test_single_geometric_mean(self, rng):
-        times = simulate_batch_bulk([0.5], 10**6, rng)
+        times = batch_times(tiled([0.5], 10**6), rng)
         stderr = times.std(ddof=1) / math.sqrt(times.size)
         assert abs(times.mean() - 2.0) <= 3.0 * stderr
         assert_allclose(expected_time_series([0.5]).steps_expectation, 2.0)
@@ -80,14 +86,14 @@ class TestBatchSimulator:
     def test_mean_matches_word_count_formula(self, rng):
         for _ in range(5):
             p = rng.random(10) * 0.9
-            times = simulate_batch_bulk(p, 10**5, rng)
+            times = batch_times(tiled(p, 10**5), rng)
             want = expected_time_series(p).steps_expectation
             stderr = times.std(ddof=1) / math.sqrt(times.size)
             assert abs(times.mean() - want) <= 4.0 * stderr
 
     def test_survival_curve_matches_formula(self, rng):
         p = rng.random(10) * 0.9
-        times = simulate_batch_bulk(p, 10**5, rng)
+        times = batch_times(tiled(p, 10**5), rng)
         for k in (1, 2, 5, 10):
             q_hat = float((times > k).mean())
             q = survival(p, k)
@@ -101,7 +107,7 @@ class TestBatchSimulator:
         assert stats.ks_2samp(fast, slow).pvalue > 1e-3
 
     def test_times_at_least_one(self, rng):
-        times = simulate_batch_bulk([0.001, 0.7], 1000, rng)
+        times = batch_times(tiled([0.001, 0.7], 1000), rng)
         assert times.min() >= 1
 
 
@@ -128,7 +134,7 @@ class TestMemoryless:
     def test_bulk_matches_linear_solve(self, rng):
         p = [0.2, 0.5, 0.8]
         want = memoryless_mean_oracle(p)
-        z = memoryless_settle_bulk(p, 2 * 10**5, rng)
+        z = memoryless_times(tiled(p, 2 * 10**5), rng)
         finite = z[np.isfinite(z)]
         stderr = finite.std(ddof=1) / math.sqrt(finite.size)
         assert abs(finite.mean() - want) <= 4.0 * stderr
@@ -136,7 +142,7 @@ class TestMemoryless:
     def test_bulk_same_law_as_word_level(self, rng):
         p = [0.4, 0.7]
         single = np.asarray([simulate_memoryless(p, rng) for _ in range(20000)])
-        bulk = memoryless_settle_bulk(p, 20000, rng)
+        bulk = memoryless_times(tiled(p, 20000), rng)
         assert stats.ks_2samp(single, bulk).pvalue > 1e-3
 
     def test_exclude_current_policy(self, rng):
@@ -153,10 +159,23 @@ class TestMemoryless:
         p = [0.99]
         settled = []
         for horizon in (10, 100, 1000):
-            z = memoryless_settle_bulk(
-                p, 5000, np.random.default_rng(MASTER_SEED), horizon=horizon)
+            z = memoryless_times(tiled(p, 5000),
+                                 np.random.default_rng(MASTER_SEED),
+                                 horizon=horizon)
             settled.append(int(np.isfinite(z).sum()))
         assert settled[0] <= settled[1] <= settled[2]
+
+    def test_never_rejected_concept_censored_like_word_level(self, master_seed):
+        # p = 1 holds forever: the bulk run censors it as the word loop does
+        p, horizon, trials = [0.9, 1.0], 50, 2000
+        bulk = run_trials("memoryless", None, 0, trials, master_seed,
+                          fixed_p=p, horizon=horizon)
+        rng = np.random.default_rng(master_seed)
+        single = [simulate_memoryless(p, rng, horizon) for _ in range(trials)]
+        want = sum(t is None for t in single) / trials
+        got = bulk.censored / trials
+        sigma = math.sqrt(2.0 * want * (1.0 - want) / trials)
+        assert abs(got - want) <= 4.0 * sigma
 
 
 class TestFullMemory:
@@ -172,7 +191,7 @@ class TestFullMemory:
     def test_mean_matches_chain_solve(self, rng):
         p = [0.3, 0.6, 0.8]
         want = full_memory_mean_oracle(p)
-        z = full_memory_settle_bulk(p, 2 * 10**5, rng)
+        z = full_memory_times(tiled(p, 2 * 10**5), rng)
         stderr = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(z.mean() - want) <= 4.0 * stderr
         # the chain solve agrees with the half-sum identity
@@ -181,7 +200,7 @@ class TestFullMemory:
     def test_single_trial_same_law_as_bulk(self, rng):
         p = [0.5, 0.75]
         single = np.asarray([simulate_full_memory(p, rng) for _ in range(20000)])
-        bulk = full_memory_settle_bulk(p, 20000, rng)
+        bulk = full_memory_times(tiled(p, 20000), rng)
         assert stats.ks_2samp(single, bulk).pvalue > 1e-3
 
     def test_dominates_memoryless_in_mean(self, master_seed):
@@ -200,6 +219,25 @@ class TestRunTrials:
             b = run_trials(alg, u, 30, 50000, master_seed, threads=4).times
             assert np.array_equal(a, b)
 
+    def test_fixed_p_reproducible_across_threads(self, master_seed):
+        # n = 1000 puts 4194 rows in a chunk, so 5000 trials make two chunks
+        p = np.random.default_rng(master_seed).random(1000) * 0.9
+        for alg in ("batch", "memoryless", "full_memory"):
+            a = run_trials(alg, None, 0, 5000, master_seed, fixed_p=p,
+                           threads=1).times
+            b = run_trials(alg, None, 0, 5000, master_seed, fixed_p=p,
+                           threads=4).times
+            assert np.array_equal(a, b)
+
+    def test_pinned_times(self, master_seed):
+        # fresh uniform p, n = 30: the first eight times of one chunk
+        want = {"batch": [84, 26, 98, 7, 44, 88, 41, 28],
+                "memoryless": [1, 223, 1555, 2, 75, 26, 1, 20],
+                "full_memory": [42, 272, 91, 368, 10, 0, 49, 91]}
+        for alg, times in want.items():
+            got = run_trials(alg, uniform(), 30, 64, master_seed).times[:8]
+            assert got.tolist() == times
+
     def test_identical_config_identical_times(self, master_seed):
         u = uniform()
         a = run_trials("batch", u, 10, 1000, master_seed).times
@@ -217,6 +255,10 @@ class TestRunTrials:
     def test_fixed_p_with_one_rejected_for_batch(self):
         with pytest.raises(DivergenceError):
             run_trials("batch", None, 2, 10, 0, fixed_p=np.asarray([0.5, 1.0]))
+
+    def test_horizon_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            run_trials("memoryless", uniform(), 5, 5, 0, horizon=0)
 
 
 class TestEmpiricalNDelta:
