@@ -5,15 +5,18 @@ E[T] exists and three routes compute it:
 
 * ``expected_time_zeta_sum``      -- alternating binomial sum of zeta values
   (exact but loses ~n bits to cancellation; small-n oracle only),
-* ``expected_time_moment_series`` -- sum over j of 1 - (1-m_j)**n with
-  certified two-sided tail brackets (the production path),
-* ``expected_time_integral``      -- the n**(1/alpha) limit integral
-  (asymptotic regime only).
+* ``expected_time_moment_series`` -- sum over j of 1 - (1-m_j)**n, cut at J
+  with a certified tail bracket (the production path),
+* ``expected_time_integral``      -- the n**(1/alpha) limit integral in
+  closed form (asymptotic regime only).
 
 At alpha = 1 the expectation does not exist: T splits into a stable-law part
 T1 = sum(1/(1-p_i) - 1) and a finite deterministic part T2 whose n*log(n)
 growth cancels the center of T1.  ``alpha1_decomposition`` computes T2 and
-extracts the c*n*log(n) component, c = lim j*m_j.
+the c*n*log(n) component, c = lim j*m_j from ``tail_parameters``.  The
+moment series and T2 are cut by the driver and tail bracket of zeta_F
+(:mod:`batchlab.moment_zeta`), each tail a Bonferroni combination of the
+certified tails of sum m_j, m_j**2 and m_j**3.
 
 Extreme-value and concentration diagnostics round out the picture: the
 smallest gap min(1 - p_i) scaled by n**(1/(1+beta)) has the limit CDF
@@ -36,13 +39,11 @@ from . import calibration
 from .batch_exact import expected_time_bulk, expected_time_fast  # noqa: F401
 from .distributions import OverlapDistribution
 from .errors import DivergenceError, PrecisionLossError
-from .moment_zeta import _sum_moments, zeta
+from .moment_zeta import _certified_sum, zeta
 # map_chunks is unused here; bench/layertrace.py patches it in this module
 from .rng import STREAM_ENSEMBLE, STREAM_EXTREMES, map_chunks  # noqa: F401
 from .simulators import _map_overlap_rows, _median_ci_halfwidth, run_trials
 
-_J_START = 1024
-_J_CAP = 1 << 26
 _CONDITION_LIMIT = 1e6      # ulp-loss refusal threshold for the zeta sum
 
 METHODS = ("zeta_sum", "moment_series", "integral_asymptotic", "monte_carlo")
@@ -115,60 +116,39 @@ def expected_time_zeta_sum(dist: OverlapDistribution, n: int,
 
 def expected_time_moment_series(dist: OverlapDistribution, n: int,
                                 eps: float = 1e-6) -> MomentSeriesTime:
-    """T = sum_{j>=1} [1 - (1-m_j)**n], absolute error at most eps.
+    """T = sum_{j>=1} [1 - (1-m_j)**n], with truncation error at most eps.
 
-    Terms use expm1/log1p forms.  The discarded tail is bracketed by
-    n * sum m_j above and n * sum m_j - (n**2/2) * sum m_j**2 below, each
-    sum bounded by certified integral comparison; the midpoint is added.
-    Diverges (DivergenceError) for alpha <= 1, where sum n*m_j is infinite:
-    use :func:`alpha1_decomposition` there.
+    Terms use expm1/log1p forms.  A discarded term lies between the
+    Bonferroni bounds n*m - C(n,2)*m**2 and that plus C(n,3)*m**3, so the
+    certified tails of sum m_j**s, s = 1, 2, 3, bracket the tail; J doubles
+    from 1000 until the half-width is at most eps/2, and the midpoint is
+    added.  ``error_bound`` adds moment_rtol * |value| (a term's relative
+    sensitivity to m, n*m*(1-m)**(n-1) / (1-(1-m)**n), is at most 1),
+    summation rounding and 2**-52 * alpha/(alpha-1) of the tail for the
+    rounding of alpha, so it is never 0.  Diverges (DivergenceError) for
+    alpha <= 1, where sum n*m_j is infinite: use :func:`alpha1_decomposition`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if dist.has_power_tail:
-        alpha, c = dist.tail_parameters()
+        alpha, _ = dist.tail_parameters()
         if alpha <= 1.0:
             raise DivergenceError(
                 f"E[T] does not exist for alpha = {alpha:g} <= 1; "
                 "the series tail sum n*m_j diverges (see alpha1_decomposition)")
-    else:
-        alpha, c = None, None
+    pairs, triples = math.comb(n, 2), math.comb(n, 3)
 
-    partial = 0.0
-    j_done = 0
-    target = _J_START
-    while True:
-        part, m_last = _sum_moments(dist, j_done + 1, target,
-                                    lambda m: -np.expm1(n * np.log1p(-m)))
-        partial += part
-        j_done = target
+    def bracket(tail):
+        (s1_lo, s1_hi), (s2_lo, s2_hi), (_, s3_hi) = tail(1.0), tail(2.0), tail(3.0)
+        return (n * s1_lo - pairs * s2_hi,
+                n * s1_hi - pairs * s2_lo + triples * s3_hi)
 
-        lo_t, hi_t = _series_tail_bracket(dist, alpha, c, n, j_done, m_last)
-        err = 0.5 * (hi_t - lo_t)
-        if err <= 0.5 * eps:
-            return MomentSeriesTime(partial + 0.5 * (hi_t + lo_t), j_done, err)
-        if j_done >= _J_CAP:
-            raise PrecisionLossError(
-                f"moment series truncation stalled at J = {j_done} "
-                f"(tail bracket width {2 * err:g} > eps = {eps:g})")
-        target = min(2 * j_done, _J_CAP)
-
-
-def _series_tail_bracket(dist, alpha, c, n, j, m_j):
-    """Certified [lower, upper] for sum_{i>j} [1 - (1-m_i)**n]."""
-    if alpha is None:
-        a = dist.a
-        upper = n * a ** (j + 1) / (1.0 - a)
-        return 0.0, float(upper)
-    # sum_{i>j} m_i in [s_lo, s_hi]; sum m_i**2 <= q_hi
-    s_hi = c * j ** (1.0 - alpha) / (alpha - 1.0)
-    s_lo = (m_j * j ** alpha) * (j + 1.0) ** (1.0 - alpha) / (alpha - 1.0)
-    q_hi = c ** 2 * j ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
-    upper = n * s_hi
-    lower = max(0.0, n * s_lo - 0.5 * n * n * q_hi)
-    return float(min(lower, upper)), float(upper)
+    value, j_used, bound = _certified_sum(
+        dist, lambda m: -np.expm1(n * np.log1p(-m)), bracket,
+        lambda partial: eps, 1.0, "moment series")
+    return MomentSeriesTime(value, j_used, bound)
 
 
 # ----------------------------------------------------------------------
@@ -179,73 +159,38 @@ def _series_tail_bracket(dist, alpha, c, n, j, m_j):
 def alpha1_decomposition(dist: OverlapDistribution, n: int,
                          eps: Optional[float] = None) -> Alpha1Decomposition:
     """T2 = -sum_j [(1-m_j)**n - 1 + n m_j], finite at alpha = 1, plus the
-    extracted c*n*log(n) component with c = lim j*m_j (Richardson).
+    c*n*log(n) component with c = lim j*m_j from ``tail_parameters``.
 
-    T2 grows like -(n log n - const*n); the positive series terms are summed
-    with a certified bracket on the discarded tail.  ``eps`` is the absolute
-    truncation error (default: 1e-9 relative to the running sum; note the
-    tail shrinks like n**2/J, so tight absolute targets at large n are
-    expensive; the default is 1e-8 relative).  Requires n >= 2 and a tail
-    exponent of exactly 1.
+    T2 grows like -(n log n - const*n).  Each discarded term lies between
+    C(n,2)*m**2 - C(n,3)*m**3 and C(n,2)*m**2, so the tail is bracketed by
+    the certified tails of sum m_j**2 and m_j**3.  ``eps`` bounds the
+    truncation error (default: 1e-8 relative to the running sum; the tail
+    shrinks like n**3/J**2, so tight absolute targets at large n are
+    expensive).  ``error_bound`` adds a rounding allowance.  Requires n >= 2
+    and a tail exponent of exactly 1.
     """
     if n < 2:
         raise ValueError("n must be >= 2 for the alpha = 1 split")
     if not dist.has_power_tail:
         raise ValueError("alpha = 1 split needs a power-tail family")
-    alpha, c_tail = dist.tail_parameters()
+    alpha, c = dist.tail_parameters()
     if abs(alpha - 1.0) > 1e-12:
         raise ValueError(f"alpha = 1 split is only valid at alpha = 1, got {alpha:g}")
+    pairs, triples = math.comb(n, 2), math.comb(n, 3)
 
-    partial = 0.0
-    j_done = 0
-    target = _J_START
-    while True:
-        part, m_last = _sum_moments(dist, j_done + 1, target,
-                                    lambda m: np.expm1(n * np.log1p(-m)) + n * m)
-        partial += part
-        j_done = target
+    def bracket(tail):
+        (s2_lo, s2_hi), (_, s3_hi) = tail(2.0), tail(3.0)
+        return pairs * s2_lo - triples * s3_hi, pairs * s2_hi
 
-        if n * m_last <= 0.5:
-            lo_t, hi_t = _alpha1_tail_bracket(c_tail, n, j_done, m_last)
-            err = 0.5 * (hi_t - lo_t)
-            goal = eps if eps is not None else 1e-8 * max(1.0, abs(partial))
-            if err <= 0.5 * goal:
-                partial += 0.5 * (hi_t + lo_t)
-                break
-        if j_done >= _J_CAP:
-            raise PrecisionLossError(
-                f"alpha=1 series truncation stalled at J = {j_done}")
-        target = min(2 * j_done, _J_CAP)
+    def goal(partial):
+        return eps if eps is not None else 1e-8 * max(1.0, abs(partial))
 
-    c = _tail_constant_richardson(dist)
-    return Alpha1Decomposition(t2=-partial,
-                               c_log_term=c * n * math.log(n),
-                               c=c,
-                               error_bound=err)
-
-
-def _alpha1_tail_bracket(c, n, j, m_j):
-    """[lower, upper] for sum_{i>j} [(1-m_i)**n - 1 + n m_i], n*m_j <= 1/2.
-
-    Each term lies between C(n,2) m**2 - C(n,3) m**3 and C(n,2) m**2.
-    """
-    pairs = 0.5 * n * (n - 1)
-    triples = n * (n - 1) * (n - 2) / 6.0
-    q_hi = c ** 2 / j                            # sum_{i>j} m_i**2 upper
-    q_lo = (m_j * j) ** 2 / (j + 1.0)            # ... lower
-    r_hi = c ** 3 / (2.0 * j ** 2)               # sum m_i**3 upper
-    upper = pairs * q_hi
-    lower = max(0.0, pairs * q_lo - triples * r_hi)
-    return float(min(lower, upper)), float(upper)
-
-
-def _tail_constant_richardson(dist) -> float:
-    """c = lim j*m_j via two-level Richardson at j = 1000, 2000, 4000."""
-    js = np.asarray([1000.0, 2000.0, 4000.0])
-    f = js * dist.moments(js)
-    r1 = 2.0 * f[1] - f[0]
-    r2 = 2.0 * f[2] - f[1]
-    return float((4.0 * r2 - r1) / 3.0)
+    # |d log term / d log m| <= 2: the term is convex in m with a falling slope
+    value, _, bound = _certified_sum(
+        dist, lambda m: np.expm1(n * np.log1p(-m)) + n * m, bracket, goal,
+        2.0, "alpha = 1 split")
+    return Alpha1Decomposition(t2=-value, c_log_term=c * n * math.log(n),
+                               c=c, error_bound=bound)
 
 
 # ----------------------------------------------------------------------
@@ -256,10 +201,9 @@ def _tail_constant_richardson(dist) -> float:
 def expected_time_integral(dist: OverlapDistribution, n: int) -> float:
     """T ~ n**(1/alpha) * integral_0^inf (1 - exp(-c u**alpha)) / u**2 du.
 
-    The integral is evaluated by quadrature in the integrated-by-parts form
-    c*alpha * u**(alpha-2) * exp(-c u**alpha), whose endpoint singularity at
-    0 (for alpha < 2) is handled by a weighted rule.  Asymptotic: agrees
-    with the moment series to ~5% only once n is large (>= ~1e4).
+    The integral has the closed form c**(1/alpha) * Gamma(1 - 1/alpha).
+    Asymptotic: agrees with the moment series to ~5% only once n is large
+    (>= ~1e4).
     """
     if not dist.has_power_tail:
         raise DivergenceError("limit integral requires a power-tail family")
@@ -268,27 +212,7 @@ def expected_time_integral(dist: OverlapDistribution, n: int) -> float:
         raise DivergenceError(f"limit integral diverges for alpha = {alpha:g} <= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def by_parts(u):
-        return c * alpha * math.exp(-c * u ** alpha)
-
-    if alpha < 2.0:
-        head, _ = quad(by_parts, 0.0, 1.0, weight="alg",
-                       wvar=(alpha - 2.0, 0.0), epsabs=1e-13, epsrel=1e-11)
-    else:
-        head, _ = quad(lambda u: by_parts(u) * u ** (alpha - 2.0), 0.0, 1.0,
-                       epsabs=1e-13, epsrel=1e-11)
-    tail, _ = quad(lambda u: by_parts(u) * u ** (alpha - 2.0), 1.0, np.inf,
-                   epsabs=1e-13, epsrel=1e-11)
-    return n ** (1.0 / alpha) * (head + tail)
-
-
-def limit_integral_closed_form(dist: OverlapDistribution) -> float:
-    """Independent closed form of the limit integral: c**(1/alpha)*Gamma(1-1/alpha)."""
-    alpha, c = dist.tail_parameters()
-    if alpha <= 1.0:
-        raise DivergenceError("closed form requires alpha > 1")
-    return c ** (1.0 / alpha) * math.exp(gammaln(1.0 - 1.0 / alpha))
+    return n ** (1.0 / alpha) * c ** (1.0 / alpha) * math.gamma(1.0 - 1.0 / alpha)
 
 
 # ----------------------------------------------------------------------

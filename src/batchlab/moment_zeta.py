@@ -1,13 +1,14 @@
-"""Moment zeta function and Mellin-transform machinery.
+"""Moment zeta function, Mellin transform, and the certified tail engine.
 
 For a law F on [0, 1] with moments m_k, the moment zeta function is
 
     zeta_F(s) = sum_{k>=1} m_k**s,
 
 convergent exactly when s * alpha > 1, where alpha is the moment tail
-exponent (m_k ~ c * k**-alpha).  Truncation control is rigorous for the
-implemented families: m_k * k**alpha increases monotonically to c, which
-yields a certified two-sided bracket on every discarded tail.
+exponent (m_k ~ c * k**-alpha).  ``zeta``, the moment series and the alpha = 1
+split of :mod:`batchlab.ensemble` are sums over moments cut at K by one
+driver, ``_certified_sum``, and one bracket, ``_power_sum_tail``, bounds every
+discarded sum_{j>K} m_j**s to within O(K**-2) of the tail.
 
 The geometric-series identity behind the learning-time formulas is
 
@@ -25,15 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .distributions import SCALED, OverlapDistribution
+from .distributions import _ULP, SCALED, OverlapDistribution
 from .errors import DivergenceError, PrecisionLossError
 # map_chunks is unused here; bench/layertrace.py patches it in this module
 from .rng import STREAM_ZETA_CHECK, map_chunks  # noqa: F401
 from .simulators import _map_overlap_rows
 
 _K_START = 1_000
-_K_CAP = 1 << 24
+_K_CAP = 1 << 26
 _SUM_CHUNK = 1 << 20
+# covers pairwise summation of up to 2**26 positive terms, the bracket
+# arithmetic and the n*m cancellation of the alpha = 1 term (< 2e-14 of |T2|)
+_ROUNDING_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -108,74 +112,93 @@ def mellin(dist: OverlapDistribution, s: float) -> float:
 
 
 def zeta(dist: OverlapDistribution, s: float, eps: float = 1e-9) -> ZetaValue:
-    """zeta_F(s) = sum_{k>=1} m_k**s with absolute error at most eps.
+    """zeta_F(s) = sum_{k>=1} m_k**s, with truncation error at most eps.
 
-    The tail beyond the last summed index K is bracketed by integral
-    comparison: m_k * k**alpha climbs monotonically to the tail constant c,
-    so c**s * K**(1-alpha*s)/(alpha*s-1) bounds the tail above and
-    (m_K * K**alpha)**s * (K+1)**(1-alpha*s)/(alpha*s-1) bounds it below.
-    The midpoint is added to the partial sum and half the bracket width is
-    the reported (rigorous) error bound.  K starts at 1000 and doubles until
-    the bound meets eps.
+    K starts at 1000 and doubles until half the width of the certified
+    bracket on sum_{k>K} m_k**s is at most eps/2; the bracket midpoint is
+    added to the partial sum.  ``error_bound`` is that half-width plus an
+    allowance for rounding, moment_rtol * s * |value| (a moment's relative
+    error is scaled by s in m**s), summation rounding, and 2**-52 * p/(p-1)
+    of the tail for the rounding of p = s*alpha.  It is never 0 and may
+    exceed eps when the value is large or p is near 1.  Raises
+    PrecisionLossError when K = 2**26 does not meet eps.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if dist.has_power_tail:
-        alpha, c = dist.tail_parameters()
+        alpha, _ = dist.tail_parameters()
         if s * alpha <= 1.0:
             raise DivergenceError(
                 f"zeta_F(s) diverges: s*alpha = {s * alpha:g} <= 1 "
                 f"(defined only for s > 1/alpha = {1.0 / alpha:g})")
-    else:
-        alpha, c = None, None
-        if s <= 0.0:
-            raise DivergenceError("zeta_F(s) requires s > 0")
+    elif s <= 0.0:
+        raise DivergenceError("zeta_F(s) requires s > 0")
+    value, k_used, bound = _certified_sum(
+        dist, lambda m: m ** s, lambda tail: tail(s), lambda partial: eps, s, "zeta")
+    return ZetaValue(value=value, s=s, k_used=k_used, error_bound=bound)
 
-    partial = 0.0
-    k_done = 0
-    k_target = _K_START
+
+def _certified_sum(dist, term, bracket, goal, power, what):
+    """(value, K, error_bound) for sum_{j>=1} term(m_j), term(m) >= 0.
+
+    Sums j = 1..K in chunks, doubling K from _K_START to _K_CAP until the
+    half-width of ``bracket(tail)``, a [lower, upper] on sum_{j>K} term(m_j)
+    from tail(s) = [lower, upper] on sum_{j>K} m_j**s, is at most
+    goal(partial)/2; the midpoint is added.  The error bound adds a rounding
+    allowance that the stop rule ignores.  term(m) ~ m**power as m -> 0 and
+    |d log term / d log m| <= power scales the moments' relative error; the
+    two roundings in p = alpha*power move the tail by 2**-52 * p/(p-1).
+    """
+    partial, k_done, k_target = 0.0, 0, _K_START
     while True:
-        part, m_last = _sum_moments(dist, k_done + 1, k_target, lambda m: m ** s)
-        partial += part
+        for start in range(k_done + 1, k_target + 1, _SUM_CHUNK):
+            m = dist.moments(np.arange(start, min(start + _SUM_CHUNK, k_target + 1),
+                                       dtype=np.float64))
+            with np.errstate(under="ignore"):
+                partial += float(np.sum(term(m)))
         k_done = k_target
-
-        lo_tail, hi_tail = _tail_bracket(dist, alpha, c, s, k_done, m_last)
-        err = 0.5 * (hi_tail - lo_tail)
-        if err <= 0.5 * eps:
-            return ZetaValue(value=partial + 0.5 * (hi_tail + lo_tail),
-                             s=s, k_used=k_done, error_bound=err)
+        lo, hi = bracket(lambda s: _power_sum_tail(dist, s, k_done, float(m[-1])))
+        half = 0.5 * abs(hi - lo)
+        if half <= 0.5 * goal(partial):
+            value = partial + 0.5 * (lo + hi)
+            p = power * dist.tail_parameters()[0] if dist.has_power_tail else np.inf
+            rounding = ((power * dist.moment_rtol + _ROUNDING_RTOL) * abs(value)
+                        + _ULP * 0.5 * abs(lo + hi) / (1.0 - 1.0 / p))
+            return value, k_done, half + rounding
         if k_done >= _K_CAP:
-            detail = (f" (s*alpha - 1 = {s * alpha - 1.0:g} is too small)"
-                      if alpha is not None else "")
             raise PrecisionLossError(
-                f"zeta truncation stalled at K = {k_done}: tail bound {err:g} "
-                f"exceeds eps = {eps:g}{detail}")
+                f"{what} truncation stalled at K = {k_done}: tail half-width "
+                f"{half:g} exceeds {0.5 * goal(partial):g}")
         k_target = min(2 * k_done, _K_CAP)
 
 
-def _sum_moments(dist, lo: int, hi: int, term) -> tuple[float, float]:
-    """(sum of term(m_j) for j = lo..hi, m_hi), in chunks of _SUM_CHUNK moments."""
-    total = 0.0
-    for start in range(lo, hi + 1, _SUM_CHUNK):
-        js = np.arange(start, min(start + _SUM_CHUNK - 1, hi) + 1, dtype=np.float64)
-        m = dist.moments(js)
-        with np.errstate(under="ignore"):
-            total += float(np.sum(term(m)))
-    return total, float(m[-1])
+def _power_sum_tail(dist, s, k, m_k):
+    """Certified [lower, upper] for sum_{j>k} m_j**s, given m_k.
 
-
-def _tail_bracket(dist, alpha, c, s, k, m_k):
-    """Certified [lower, upper] for sum_{j>k} m_j**s."""
-    with np.errstate(under="ignore"):
-        if alpha is None:
-            # geometric decay: m_j <= a**j for scaled support
-            a_s = dist.a ** s
-            upper = a_s ** (k + 1) / (1.0 - a_s) if a_s < 1.0 else np.inf
-            return 0.0, float(upper)
-        denom = alpha * s - 1.0
-        upper = c ** s * k ** (-denom) / denom
-        lower = (m_k * k ** alpha) ** s * (k + 1.0) ** (-denom) / denom
-    return float(min(lower, upper)), float(upper)
+    Power tails: m_j = c*Gamma(j+1)/Gamma(j+1+alpha) = c*(j + w_j)**-alpha,
+    where w_j decreases for alpha < 1 and increases for alpha > 1 toward
+    (alpha+1)/2 (Elezovic, Giordano & Pecaric, Math. Inequal. Appl. 3, 2000).
+    So w_j for j > k lies between w_k, given a few ulps of slack for its
+    rounding, and (alpha+1)/2; the error of m_k itself moves the tail by
+    less than s*moment_rtol, inside the callers' rounding allowance.
+    g(x) = (x + w)**(-alpha*s) is convex and decreasing: the midpoint rule
+    with the smaller w bounds the tail above, the trapezoid rule with the
+    larger w bounds it below.  Scaled laws with a < 1 have m_j <= a**j: a
+    geometric upper bound, 0 below.
+    """
+    if not dist.has_power_tail:
+        a_s = dist.a ** s
+        return 0.0, (a_s ** (k + 1) / (1.0 - a_s) if a_s < 1.0 else np.inf)
+    alpha, c = dist.tail_parameters()
+    w_k = (c / m_k) ** (1.0 / alpha) - k
+    slack = 4.0 * _ULP * (k + 1.0) * (1.0 + 1.0 / alpha)
+    w_lo = min(w_k, 0.5 * (alpha + 1.0)) - slack
+    w_hi = max(w_k, 0.5 * (alpha + 1.0)) + slack
+    p = alpha * s
+    upper = c ** s * (k + 0.5 + w_lo) ** (1.0 - p) / (p - 1.0)
+    x = k + 1.0 + w_hi
+    lower = c ** s * (x ** (1.0 - p) / (p - 1.0) + 0.5 * x ** -p)
+    return lower, upper
 
 
 # ----------------------------------------------------------------------

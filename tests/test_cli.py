@@ -34,8 +34,9 @@ class TestZetaCommand:
         assert "divergence" in err
 
     def test_precision_exit_code(self, capsys):
+        # eps far below the rounding of the tail (~2e-16 at K = 2**26)
         code, _, err = run_cli(["zeta", "--dist", "uniform", "--s", "1.1",
-                                "--eps", "1e-12"], capsys)
+                                "--eps", "1e-20"], capsys)
         assert code == 4
 
     def test_missing_s_is_config_error(self, capsys):

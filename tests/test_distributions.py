@@ -147,6 +147,19 @@ class TestMoments:
         mid, lo, hi = m[1:-1], m[:-2], m[2:]
         assert np.all(mid**2 <= lo * hi * (1.0 + 1e-12))
 
+    @pytest.mark.parametrize("beta", [-0.9, -0.5, 0.3, 2.5, 0.0, 3.0])
+    def test_moments_against_mpmath(self, beta):
+        # non-integer beta to 1e-10 over the whole k-range the series visit
+        mp = pytest.importorskip("mpmath")
+        dist = power_tail(beta)
+        ks = [10.0, 1e4, 1e6, 2.0**26]
+        assert dist.moment_rtol <= 1e-10
+        with mp.workdps(40):
+            b = mp.mpf(beta)
+            for k, m in zip(ks, dist.moments(np.asarray(ks))):
+                want = mp.gamma(b + 2) * mp.gamma(k + 1) / mp.gamma(k + b + 2)
+                assert abs(m / want - 1) <= dist.moment_rtol
+
     def test_scaled_moments_scale_geometrically(self):
         inner = power_tail(1.0)
         sc = scaled(0.5, inner)
@@ -170,7 +183,7 @@ class TestTailParameters:
 
     @pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0, 3.0])
     def test_normalized_moments_increase_to_constant(self, beta):
-        # the certified-upper-bound property the zeta truncation relies on
+        # m_k * k**alpha climbs to c, also where the moments use poch
         dist = power_tail(beta)
         alpha, c = dist.tail_parameters()
         ks = np.arange(1, 10001, dtype=np.float64)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.integrate import quad
 
 from batchlab import ensemble as en
 from batchlab.batch_exact import expected_time_bulk, expected_time_subsets_bulk
@@ -13,6 +14,7 @@ from batchlab.distributions import power_tail, scaled, uniform
 from batchlab.errors import DivergenceError, PrecisionLossError
 from batchlab.rng import STREAM_ENSEMBLE, derive_rng
 from tests.conftest import MASTER_SEED
+from tests.test_moment_zeta import mpmath_moment, mpmath_sum
 
 
 class TestZetaSumRoute:
@@ -95,6 +97,21 @@ class TestMomentSeriesRoute:
         se = mc_words.std(ddof=1) / math.sqrt(mc_words.size)
         assert abs((mc_words.mean() - 1.0) - series) <= 4.0 * se
 
+    @pytest.mark.parametrize("beta,n,eps",
+                             [(b, n, 1e-8) for b in (0.3, 0.5, 1.0, 2.5)
+                              for n in (1, 5, 30, 1000)]
+                             + [(0.5, 31623, 1e-6), (0.5, 100000, 1e-6)])
+    def test_within_bound_of_mpmath(self, beta, n, eps):
+        mp = pytest.importorskip("mpmath")
+        r = en.expected_time_moment_series(power_tail(beta), n, eps=eps)
+        with mp.workdps(20):
+            a = mp.mpf(beta) + 1
+            want = mpmath_sum(
+                mp, lambda x: -mp.expm1(n * mp.log1p(-mpmath_moment(mp, beta, x))),
+                n * mp.gamma(a + 1), a, a)
+            assert 0.0 < r.error_bound
+            assert abs(r.value - want) <= r.error_bound
+
     def test_truncation_honesty(self):
         loose = en.expected_time_moment_series(power_tail(1.0), 50, eps=1e-4)
         tight = en.expected_time_moment_series(power_tail(1.0), 50, eps=1e-9)
@@ -110,6 +127,18 @@ class TestAlpha1Split:
     def test_log_constant_extraction(self):
         r = en.alpha1_decomposition(uniform(), 2)
         assert_allclose(r.c, 1.0, atol=1e-8)
+        assert r.c == uniform().tail_parameters()[1]
+
+    @pytest.mark.parametrize("n,eps", [(3, 1e-10), (30, None), (1000, 1e-3)])
+    def test_within_bound_of_mpmath(self, n, eps):
+        mp = pytest.importorskip("mpmath")
+        r = en.alpha1_decomposition(uniform(), n, eps=eps)
+        with mp.workdps(20):
+            want = -mpmath_sum(
+                mp, lambda x: mp.expm1(n * mp.log1p(-1 / (x + 1))) + n / (x + 1),
+                math.comb(n, 2), 2, 1)
+            assert 0.0 < r.error_bound
+            assert abs(r.t2 - want) <= r.error_bound
 
     def test_growth_ratio_at_desk_scale(self):
         n = 10**4
@@ -136,12 +165,24 @@ class TestAlpha1Split:
 
 class TestIntegralRoute:
     def test_matches_closed_form(self):
-        # quadrature vs Gamma closed form of the limit integral
+        # Gamma closed form vs quadrature of the integrated-by-parts form
+        # c*alpha * u**(alpha-2) * exp(-c u**alpha), weighted at 0 for alpha < 2
         for beta in (0.5, 1.0, 3.0):
-            d = power_tail(beta)
-            got = en.expected_time_integral(d, 1)
-            want = en.limit_integral_closed_form(d)
-            assert_allclose(got, want, rtol=1e-6)
+            alpha, c = power_tail(beta).tail_parameters()
+
+            def by_parts(u):
+                return c * alpha * math.exp(-c * u ** alpha)
+
+            if alpha < 2.0:
+                head, _ = quad(by_parts, 0.0, 1.0, weight="alg",
+                               wvar=(alpha - 2.0, 0.0), epsabs=1e-13, epsrel=1e-11)
+            else:
+                head, _ = quad(lambda u: by_parts(u) * u ** (alpha - 2.0), 0.0, 1.0,
+                               epsabs=1e-13, epsrel=1e-11)
+            tail, _ = quad(lambda u: by_parts(u) * u ** (alpha - 2.0), 1.0, np.inf,
+                           epsabs=1e-13, epsrel=1e-11)
+            assert_allclose(en.expected_time_integral(power_tail(beta), 1),
+                            head + tail, rtol=1e-6)
 
     def test_agrees_with_series_in_asymptotic_regime(self):
         d = power_tail(1.0)

@@ -97,7 +97,14 @@ class TestZetaValues:
         # within the step cap; an honest precision signal is raised
         from batchlab.errors import PrecisionLossError
         with pytest.raises(PrecisionLossError):
-            zeta(uniform(), 1.1, eps=1e-10)
+            zeta(uniform(), 1.1, eps=1e-20)
+
+    def test_near_divergence_within_bound(self):
+        mp = pytest.importorskip("mpmath")
+        z = zeta(uniform(), 1.1, eps=1e-10)
+        with mp.workdps(30):
+            assert 0.0 < z.error_bound
+            assert abs(z.value - (mp.zeta(1.1) - 1)) <= z.error_bound
 
     def test_dominant_first_term_at_large_s(self):
         # zeta(s) / m_1**s -> 1
@@ -112,6 +119,79 @@ class TestZetaValues:
             tight = zeta(dist, s, eps=1e-10)
             assert abs(loose.value - tight.value) <= loose.error_bound
             assert tight.k_used > loose.k_used
+
+
+def mpmath_moment(mp, beta, x):
+    """m_x = Gamma(beta+2) Gamma(x+1) / Gamma(x+beta+2) for the float beta."""
+    with mp.extradps(5 + int(mp.log10(x))):
+        b = mp.mpf(beta)
+        value = mp.exp(mp.loggamma(b + 2) + mp.loggamma(x + 1)
+                       - mp.loggamma(x + b + 2))
+    return +value
+
+
+def mpmath_sum(mp, f, lead, p, alpha, head=64, far=10**20):
+    """sum_{k>=1} f(k) at 20 digits: direct below ``head``, Euler-Maclaurin.
+
+    The tail integral runs over x = head*e**u up to ``far``.  Beyond it
+    f(x) = lead * (x + (alpha+1)/2)**-p * (1 + O(x**-2)) for the power-tail
+    moments, so the rest of the integral is taken in closed form.
+    """
+    with mp.workdps(20):
+        a, far = mp.mpf(head), mp.mpf(far)
+        total = mp.fsum(f(mp.mpf(k)) for k in range(1, head))
+        total += mp.quad(lambda u: f(a * mp.exp(u)) * a * mp.exp(u),
+                         mp.linspace(0, mp.log(far / a), 6))
+        total += lead * (far + (alpha + 1) / 2) ** (1 - p) / (p - 1)
+        total += f(a) / 2
+        for j in range(1, 7):
+            total -= (mp.bernoulli(2 * j) / mp.factorial(2 * j)
+                      * mp.diff(f, a, 2 * j - 1))
+        return total
+
+
+ORACLE_BETAS = (-0.9, -0.5, -0.25, 0.0, 0.3, 0.5, 1.0, 2.5)
+
+
+class TestCertifiedTail:
+    @pytest.mark.parametrize("beta", ORACLE_BETAS + (7.7,))
+    def test_offset_monotone(self, beta):
+        # m_k = c*(k + w_k)**-alpha with w_k monotone toward (alpha+1)/2
+        # (Elezovic, Giordano & Pecaric 2000): the fact the tail bracket uses
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            alpha = mp.mpf(beta) + 1
+            c = mp.gamma(alpha + 1)
+            ks = [1, 10, 100] + [1000 * 2**i for i in range(17)]
+            w = [(c / mpmath_moment(mp, beta, mp.mpf(k))) ** (1 / alpha) - k
+                 for k in ks]
+            limit = (alpha + 1) / 2
+            steps = [b - a for a, b in zip(w, w[1:])]
+            if beta == 0.0:
+                assert all(abs(x - 1) < 1e-20 for x in w)
+            else:
+                sign = 1 if alpha > 1 else -1
+                assert all(sign * d > 0 for d in steps)
+                assert all(sign * (limit - x) > 0 for x in w)
+            assert abs(w[-1] - limit) < 1e-6
+
+    @pytest.mark.parametrize("beta,alpha_s,eps",
+                             [(b, a, 1e-9) for b in ORACLE_BETAS
+                              for a in (1.05, 1.5, 2.5, 4.0)]
+                             + [(-0.5, 1.25, 1e-9), (0.3, 1.0000002, 1e-6),
+                                (0.1, 1.0000003, 1e-6)])
+    def test_zeta_within_bound_of_mpmath(self, beta, alpha_s, eps):
+        mp = pytest.importorskip("mpmath")
+        alpha = beta + 1.0
+        s = alpha_s / alpha
+        z = zeta(power_tail(beta), s, eps=eps)
+        with mp.workdps(20):
+            sm = mp.mpf(s)
+            a = mp.mpf(beta) + 1
+            want = mpmath_sum(mp, lambda x: mpmath_moment(mp, beta, x) ** sm,
+                              mp.gamma(a + 1) ** sm, a * sm, a)
+            assert 0.0 < z.error_bound
+            assert abs(z.value - want) <= z.error_bound
 
 
 class TestZetaExpectation:
