@@ -221,25 +221,6 @@ def _subset_terms(logp: list, m: int):
         yield term if (size & 1) else -term
 
 
-def expected_time_subsets_bulk(P: np.ndarray) -> np.ndarray:
-    """Vectorized subset formula over rows of P (small n only).
-
-    Builds all 2**n subset products by doubling; memory is rows * 2**n.
-    """
-    P = np.asarray(P, dtype=np.float64)
-    rows, n = P.shape
-    if n > 20:
-        raise ValueError("bulk subset evaluation limited to n <= 20")
-    prods = np.ones((rows, 1))
-    signs = np.array([-1.0])                    # sign(S) = (-1)**(|S| - 1)
-    for i in range(n):
-        prods = np.concatenate([prods, prods * P[:, i:i + 1]], axis=1)
-        signs = np.concatenate([signs, -signs])
-    # drop the empty subset (column 0), which contributes nothing
-    terms = prods[:, 1:] / (1.0 - prods[:, 1:])
-    return (signs[1:] * terms).sum(axis=1)
-
-
 def n_delta(p, delta: float) -> int:
     """Smallest k >= 1 with survival(p, k) <= delta."""
     if not 0.0 < delta < 1.0:

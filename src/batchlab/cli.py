@@ -3,8 +3,8 @@
 Subcommands: zeta, exact-time, ndelta, simulate, ensemble, extremes,
 scaling, compare.  Global flags (--seed, --out, --format, --config,
 --threads) may also come from a flat key=value config file; explicit flags
-win.  Exit codes: 0 success, 2 config error, 3 divergence signal,
-4 precision or censoring failure.
+win.  Exit codes: 0 success, 1 any other error (with a traceback),
+2 config error, 3 divergence signal, 4 precision or censoring failure.
 """
 
 from __future__ import annotations
@@ -118,14 +118,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 "method", "algorithm", "horizon", "out", "format", "dump"):
         if hasattr(args, key):
             overrides[key] = getattr(args, key)
-    if getattr(args, "n_sweep", None) is not None:
-        overrides["n_sweep"] = tuple(
-            int(x) for x in str(args.n_sweep).split(",") if x)
-    if getattr(args, "p", None) is not None:
-        try:
-            overrides["p"] = tuple(float(x) for x in str(args.p).split(",") if x)
-        except ValueError:
-            raise ConfigError(f"bad --p value {args.p!r}") from None
+    for key, kind in (("n_sweep", int), ("p", float)):
+        text = getattr(args, key, None)
+        if text is not None:
+            try:
+                overrides[key] = tuple(kind(x) for x in str(text).split(",") if x)
+            except ValueError:
+                raise ConfigError(f"bad --{key.replace('_', '-')} value {text!r}") from None
     return base.merged(overrides)
 
 
@@ -135,8 +134,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_zeta(cfg: RunConfig) -> str:
-    if cfg.s is None:
-        raise ConfigError("zeta requires --s")
     z = moment_zeta.zeta(cfg.distribution(), cfg.s, eps=cfg.eps)
     return _json({"dist": cfg.dist, "s": z.s, "value": z.value,
                   "k_used": z.k_used, "error_bound": z.error_bound,
@@ -144,26 +141,18 @@ def _cmd_zeta(cfg: RunConfig) -> str:
 
 
 def _cmd_exact_time(cfg: RunConfig) -> str:
-    if not cfg.p:
-        raise ConfigError("exact-time requires --p")
     est = expected_time_series(np.asarray(cfg.p), eps=cfg.eps)
     return _json({"p": list(cfg.p), "eps": cfg.eps, "t": est.t,
                   "steps_expectation": est.steps_expectation})
 
 
 def _cmd_ndelta(cfg: RunConfig) -> str:
-    if not cfg.p:
-        raise ConfigError("ndelta requires --p")
     value = exact_n_delta(np.asarray(cfg.p), cfg.delta)
     return _json({"p": list(cfg.p), "delta": cfg.delta, "n_delta": value})
 
 
 def _cmd_simulate(cfg: RunConfig) -> str:
-    if cfg.algorithm is None:
-        raise ConfigError("simulate requires --alg")
     fixed = np.asarray(cfg.p) if cfg.p else None
-    if fixed is None and cfg.n is None:
-        raise ConfigError("simulate requires --n (or --fixed-p)")
     batch = simulators.run_trials(
         cfg.algorithm, cfg.distribution(), cfg.n or 0, cfg.trials, cfg.seed,
         fixed_p=fixed, horizon=cfg.horizon, threads=cfg.threads)
@@ -180,8 +169,6 @@ def _cmd_simulate(cfg: RunConfig) -> str:
 
 
 def _cmd_ensemble(cfg: RunConfig) -> str:
-    if cfg.n is None:
-        raise ConfigError("ensemble requires --n")
     t0 = time.perf_counter()
     est = ens.ensemble_estimate(cfg.distribution(), cfg.n,
                                 cfg.method or "moment_series",
@@ -197,8 +184,6 @@ def _cmd_ensemble(cfg: RunConfig) -> str:
 
 
 def _cmd_extremes(cfg: RunConfig) -> str:
-    if not cfg.n_sweep:
-        raise ConfigError("extremes requires --n-sweep")
     t0 = time.perf_counter()
     rep = ens.extreme_value(cfg.distribution(), cfg.n_sweep, cfg.trials,
                             cfg.seed, threads=cfg.threads)
@@ -266,9 +251,6 @@ def main(argv: Optional[list] = None) -> int:
     except (PrecisionLossError, CensoringError) as exc:
         print(f"precision/censoring failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:

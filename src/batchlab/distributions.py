@@ -71,12 +71,6 @@ class OverlapDistribution:
             return f"powertail:beta={self.beta:g}"
         return f"scaled:a={self.a:g},inner={self.inner.spec}"
 
-    @property
-    def support_upper(self) -> float:
-        if self.family == SCALED:
-            return self.a * self.inner.support_upper
-        return 1.0
-
     # ------------------------------------------------------------------
     # density / cdf
     # ------------------------------------------------------------------
@@ -155,10 +149,11 @@ class OverlapDistribution:
         return float(self.moments(np.asarray([k], dtype=np.float64))[0])
 
     def moments(self, k) -> np.ndarray:
-        """Vectorized m_k for an array of orders k (k >= 1, real-valued ok).
+        """Vectorized m_k = E[X**k] for an array of real orders k > -1.
 
-        The closed forms are the Mellin transform at k+1, valid for real k,
-        which is what the series truncation machinery interpolates.
+        The closed forms hold for every real k > -1 and equal the Mellin
+        transform M(f)(k+1) = integral_0^1 f(x) x**k dx:
+        :func:`batchlab.moment_zeta.mellin` relies on this.
         """
         k = np.asarray(k, dtype=np.float64)
         if self.family == UNIFORM:

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from . import calibration
 # expected_time_fast is unused here; bench/layertrace.py wraps it in this module
@@ -240,7 +238,8 @@ def sum_inverse_gap_concentration(dist: OverlapDistribution, n: int,
                                   threads: int = 1) -> ConcentrationSummary:
     """Sample S = sum_i 1/(1-p_i) and normalize per the stable-law regime.
 
-    beta > 0: S/n -> mean of 1/(1-p) (law of large numbers);
+    beta > 0: S/n -> E[1/(1-p)] = alpha/(alpha-1) (law of large numbers;
+    every law with a power tail is exactly powertail(alpha-1));
     beta = 0: S/(n log n) -> 1;
     beta < 0: S/n**(1/(1+beta)) is tight with no point limit.
     """
@@ -254,7 +253,7 @@ def sum_inverse_gap_concentration(dist: OverlapDistribution, n: int,
                           threads=threads)
     if beta > 0.0:
         stat, normalizer = s / n, "n"
-        target = _mean_inverse_gap(dist)
+        target = alpha / (alpha - 1.0)
         regime = "lln"
     elif beta == 0.0:
         stat, normalizer = s / (n * math.log(n)), "n*log(n)"
@@ -268,15 +267,6 @@ def sum_inverse_gap_concentration(dist: OverlapDistribution, n: int,
                                 normalizer=normalizer, median=float(med),
                                 iqr=float(q75 - q25), q05=float(q05),
                                 q95=float(q95), target=target)
-
-
-def _mean_inverse_gap(dist) -> float:
-    """E[1/(1-p)]; finite exactly when beta > 0 (or the support stops short of 1)."""
-    if dist.family == "powertail":
-        return (1.0 + dist.beta) / dist.beta
-    val, _ = quad(lambda x: dist.density(x) / (1.0 - x), 0.0,
-                  dist.support_upper, limit=200)
-    return val
 
 
 # ----------------------------------------------------------------------
@@ -311,12 +301,8 @@ def extreme_value(dist: OverlapDistribution, n_values: Sequence[int],
         raise ValueError("need at least one n value")
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    alpha, c_tail = dist.tail_parameters()
+    alpha, _ = dist.tail_parameters()
     beta = alpha - 1.0
-    # density constant of f(1-x) ~ c0 * x**beta; for these families
-    # c0/(beta+1) = 1, kept general for clarity
-    c0 = c_tail / math.exp(gammaln(beta + 1.0))
-    scale_const = (c0 / (beta + 1.0)) ** (1.0 / (beta + 1.0))
 
     n_values = [int(v) for v in n_values]
     means, errs = [], []
@@ -331,7 +317,7 @@ def extreme_value(dist: OverlapDistribution, n_values: Sequence[int],
         if n == ks_n:
             ks_sample = qmin
 
-    scaled = np.sort(ks_sample * ks_n ** (1.0 / (beta + 1.0)) * scale_const)
+    scaled = np.sort(ks_sample * ks_n ** (1.0 / (beta + 1.0)))
     g = -np.expm1(-scaled ** (beta + 1.0))
     grid = np.arange(1, scaled.size + 1) / scaled.size
     ks = float(max((grid - g).max(), (g - (grid - 1.0 / scaled.size)).max()))

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Exit-code mapping for the CLI lives in :mod:`batchlab.cli`: config errors
-exit 2, divergence signals exit 3, precision/censoring failures exit 4.
+exit 2, divergence signals exit 3, precision/censoring failures exit 4, and
+any other exception exits 1.
 """
 
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import OverlapDistribution, parse_dist
-from .ensemble import expected_time_moment_series
+from .ensemble import METHODS, expected_time_moment_series
 from .errors import ConfigError
 from .rng import STREAM_SCALING, derive_rng
 from .simulators import (ALGORITHMS, DEFAULT_HORIZON, _median_ci_halfwidth,
@@ -97,7 +97,38 @@ class RunConfig:
             raise ConfigError("horizon must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a nonnegative 64-bit integer")
-        self.distribution()
+        dist = self.distribution()
+        if any(not 0.0 <= x <= 1.0 for x in self.p):
+            raise ConfigError("p entries must lie in [0, 1]")
+        needed = {"zeta": "s", "exact-time": "p", "ndelta": "p", "ensemble": "n",
+                  "extremes": "n_sweep", "simulate": "algorithm"}.get(self.command)
+        if needed and getattr(self, needed) in (None, ()):
+            flag = {"n_sweep": "n-sweep", "algorithm": "alg"}.get(needed, needed)
+            raise ConfigError(f"{self.command} requires --{flag}")
+        if self.command == "simulate" and self.n is None and not self.p:
+            raise ConfigError("simulate requires --n (or --fixed-p)")
+        written = {"zeta": "json", "exact-time": "json", "ndelta": "json",
+                   "simulate": "csv" if self.dump else "json"}.get(self.command)
+        if written and self.format not in (None, written):
+            raise ConfigError(f"format must be {written} for {self.command}"
+                              f"{' --dump' if self.dump else ''}, got {self.format}")
+        if self.command == "simulate" and self.algorithm not in (None, *ALGORITHMS):
+            raise ConfigError(f"algorithm must be one of {ALGORITHMS}, "
+                              f"got {self.algorithm!r}")
+        if self.command in ("simulate", "ensemble", "extremes", "scaling", "compare"):
+            least = 0 if self.command == "simulate" else 1
+            if self.n is not None and self.n < least:
+                raise ConfigError(f"n must be >= {least}")
+            if any(v < least for v in self.n_sweep):
+                raise ConfigError(f"n-sweep entries must be >= {least}")
+        if self.command == "ensemble" and self.method not in (None, *METHODS):
+            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.command == "ensemble" and self.method == "zeta_sum" and (self.n or 0) > 30:
+            raise ConfigError("n must be <= 30 for method zeta_sum; use moment_series")
+        if self.command == "extremes" and self.trials < 2:
+            raise ConfigError("trials must be >= 2 for extremes")
+        if self.command == "extremes" and not dist.has_power_tail:
+            raise ConfigError(f"dist must have a power tail for extremes, got {self.dist}")
         if self.command == "scaling":
             ns = tuple(self.n_sweep)
             if len(ns) < 4:

@@ -10,6 +10,10 @@ split of :mod:`batchlab.ensemble` are sums over moments cut at K by one
 driver, ``_certified_sum``, and one bracket, ``_power_sum_tail``, bounds every
 discarded sum_{j>K} m_j**s to within O(K**-2) of the tail.
 
+The Mellin transform M(f)(s) = integral_0^1 f(x) x**(s-1) dx is m_{s-1}:
+``mellin`` reads it off the closed-form moments at real order s - 1 > -1,
+and the tests check it against quadrature of the density.
+
 The geometric-series identity behind the learning-time formulas is
 
     E[ y / (1 - y) ] = zeta_F(n),   y = x_1 * ... * x_n,
@@ -24,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .distributions import _ULP, SCALED, OverlapDistribution
+from .distributions import _ULP, OverlapDistribution
 from .errors import DivergenceError, PrecisionLossError
 # map_chunks is unused here; bench/layertrace.py patches it in this module
 from .rng import STREAM_ZETA_CHECK, map_chunks  # noqa: F401
@@ -71,39 +74,12 @@ class ZetaExpectationCheck:
 def mellin(dist: OverlapDistribution, s: float) -> float:
     """M(f)(s) = integral_0^1 f(x) x**(s-1) dx, for s > 0.
 
-    Satisfies m_k = M(f)(k+1).  Endpoint singularities (x**(s-1) at 0 for
-    s < 1, (1-x)**beta at 1 for non-smooth beta) are handled by Gauss-Jacobi
-    weighted quadrature rather than naive adaptive panels.
+    M(f)(s) = m_{s-1}: the closed forms of ``dist.moments`` at the real
+    order s - 1 > -1.
     """
     if s <= 0.0:
         raise DivergenceError(f"Mellin transform diverges for s = {s} <= 0")
-    if dist.family == SCALED:
-        # pushforward by x -> a*x rescales the transform exactly
-        return dist.a ** (s - 1.0) * mellin(dist.inner, s)
-
-    mid = 0.5
-    total = 0.0
-    # [0, 1/2]: weight x**(s-1) when it is not smooth at 0
-    if s < 2.0 and s != 1.0:
-        val, _ = quad(lambda x: dist.density(x), 0.0, mid,
-                      weight="alg", wvar=(s - 1.0, 0.0),
-                      epsabs=1e-14, epsrel=1e-12, limit=200)
-    else:
-        val, _ = quad(lambda x: dist.density(x) * x ** (s - 1.0), 0.0, mid,
-                      epsabs=1e-14, epsrel=1e-12, limit=200)
-    total += val
-    # [1/2, 1]: weight (1-x)**beta unless the density is polynomial there
-    beta = dist.beta if dist.family == "powertail" else 0.0
-    if beta == int(beta) and beta >= 0.0:
-        val, _ = quad(lambda x: dist.density(x) * x ** (s - 1.0), mid, 1.0,
-                      epsabs=1e-14, epsrel=1e-12, limit=200)
-    else:
-        coef = 1.0 + beta
-        val, _ = quad(lambda x: coef * x ** (s - 1.0), mid, 1.0,
-                      weight="alg", wvar=(0.0, beta),
-                      epsabs=1e-14, epsrel=1e-12, limit=200)
-    total += val
-    return total
+    return float(dist.moments(np.asarray([s - 1.0]))[0])
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,7 @@
   reference simulator is kept for oracle tests.
 * memoryless: hold a uniformly random concept until a word contradicts it
   (probability 1 - p_i per word), then re-pick uniformly over all n+1
-  concepts (the word-level simulator can instead exclude the concept just
-  rejected).  The settle time is the index of the re-pick that lands on the
+  concepts.  The settle time is the index of the re-pick that lands on the
   target, 0 if the initial pick is already correct; runs are censored at a
   horizon.
 * full memory: like memoryless, but rejected concepts are never revisited,
@@ -149,8 +148,7 @@ def batch_times(P: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def simulate_memoryless(p, rng: np.random.Generator,
-                        horizon: int = DEFAULT_HORIZON,
-                        exclude_current: bool = False) -> Optional[int]:
+                        horizon: int = DEFAULT_HORIZON) -> Optional[int]:
     """One word-level memoryless trial.
 
     Returns the settle step (the re-pick index that lands on the target;
@@ -169,11 +167,7 @@ def simulate_memoryless(p, rng: np.random.Generator,
     for t in range(1, horizon + 1):
         if rng.random() < arr[current - 1]:
             continue                            # word consistent, keep holding
-        if exclude_current:
-            r = int(rng.integers(0, n))
-            current = r if r < current else r + 1
-        else:
-            current = int(rng.integers(0, n + 1))
+        current = int(rng.integers(0, n + 1))
         if current == 0:
             return t
     return None

@@ -2,14 +2,19 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from batchlab import cli
 from batchlab.cli import main
 from batchlab.harness import parse_report
 from tests.conftest import MASTER_SEED
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, capsys):
@@ -183,6 +188,43 @@ class TestScalingAndCompare:
         assert parse_report(out1).result_fields() == parse_report(out4).result_fields()
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("args, field", [
+        (["extremes", "--n-sweep", "0,10"], "n-sweep"),
+        (["scaling", "--n-sweep", "0,10,100,1000", "--method", "mc_median"],
+         "n-sweep"),
+        (["ensemble", "--method", "zeta_sum", "--n", "40"], "n"),
+        (["extremes", "--n-sweep", "10", "--trials", "1"], "trials"),
+        (["extremes", "--n-sweep", "10", "--dist",
+          "scaled:a=0.5,inner=uniform"], "dist"),
+        (["simulate", "--alg", "batch", "--n", "-3"], "n"),
+        (["ndelta", "--p", "1.5"], "p"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_documented_limits_are_config_errors(self, capsys, args, field):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {field} ")
+
+    @pytest.mark.parametrize("args", [
+        ["zeta", "--s", "2", "--format", "csv"],
+        ["exact-time", "--p", "0.5", "--format", "csv"],
+        ["ndelta", "--p", "0.5", "--format", "csv"],
+        ["simulate", "--alg", "batch", "--n", "3", "--format", "csv"],
+        ["simulate", "--alg", "batch", "--n", "3", "--dump", "--format", "json"],
+    ], ids=lambda v: " ".join(v))
+    def test_unwritable_format_is_config_error(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: format ")
+
+    def test_internal_value_error_is_not_a_config_error(self, monkeypatch):
+        def broken(cfg):
+            raise ValueError("zero-size array to reduction operation")
+        monkeypatch.setitem(cli._HANDLERS, "zeta", broken)
+        with pytest.raises(ValueError, match="zero-size array"):
+            main(["zeta", "--s", "2"])
+
+
 class TestConfigFileAndOutput:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -219,6 +261,15 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["value"] - 1.0) < 1e-7
+
+    def test_import_loads_no_quadrature(self):
+        # a fresh interpreter: the test modules import scipy.integrate themselves
+        code = ("import sys, batchlab, batchlab.cli; "
+                "print([m for m in sys.modules if m.startswith('scipy.integrate')])")
+        env = {**os.environ, "PYTHONPATH": "src"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, cwd=ROOT, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_bad_flag_exits_2(self):
         proc = subprocess.run(

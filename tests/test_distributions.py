@@ -22,21 +22,22 @@ FAMILIES = [
 
 
 def quad_moment(dist, k):
-    """Independent quadrature oracle for integral of x**k against the density.
+    """Independent quadrature oracle for m_k = integral of x**k against the
+    density, at any real order k > -1.
 
-    Uses a Gauss-Jacobi weight for the (1-x)**beta endpoint factor of the
-    power families (the factor is the family definition, not the code under
-    test); the scaled family reduces by the change of variables x -> a*y.
+    A Gauss-Jacobi weight x**k * (1-x)**beta carries both endpoint factors
+    (for the power families (1-x)**beta is the family definition, not the
+    code under test); the scaled family reduces by the change of variables
+    x -> a*y.
     """
-    if dist.family == "powertail":
-        b = dist.beta
-        val, _ = quad(lambda x: (1.0 + b) * x**k, 0.0, 1.0,
-                      weight="alg", wvar=(0.0, b), epsabs=1e-13, epsrel=1e-12)
-        return val
     if dist.family == "scaled":
         return dist.a**k * quad_moment(dist.inner, k)
-    val, _ = quad(lambda x: dist.density(x) * x**k, 0.0, 1.0,
-                  epsabs=1e-13, epsrel=1e-12, limit=300)
+    if dist.family == "powertail":
+        b, f = dist.beta, (lambda x: 1.0 + dist.beta)
+    else:
+        b, f = 0.0, dist.density
+    val, _ = quad(f, 0.0, 1.0, weight="alg", wvar=(k, b),
+                  epsabs=1e-13, epsrel=1e-12)
     return val
 
 

@@ -9,12 +9,31 @@ from scipy import stats
 from scipy.integrate import quad
 
 from batchlab import ensemble as en
-from batchlab.batch_exact import expected_time_bulk, expected_time_subsets_bulk
+from batchlab.batch_exact import expected_time_bulk
 from batchlab.distributions import power_tail, scaled, uniform
 from batchlab.errors import DivergenceError, PrecisionLossError
 from batchlab.rng import STREAM_ENSEMBLE, derive_rng
 from tests.conftest import MASTER_SEED
 from tests.test_moment_zeta import mpmath_moment, mpmath_sum
+
+
+def expected_time_subsets_bulk(P: np.ndarray) -> np.ndarray:
+    """Inclusion-exclusion value of T for each row of P (small n only).
+
+    Builds all 2**n subset products by doubling; memory is rows * 2**n.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    rows, n = P.shape
+    if n > 20:
+        raise ValueError("bulk subset evaluation limited to n <= 20")
+    prods = np.ones((rows, 1))
+    signs = np.array([-1.0])                    # sign(S) = (-1)**(|S| - 1)
+    for i in range(n):
+        prods = np.concatenate([prods, prods * P[:, i:i + 1]], axis=1)
+        signs = np.concatenate([signs, -signs])
+    # drop the empty subset (column 0), which contributes nothing
+    terms = prods[:, 1:] / (1.0 - prods[:, 1:])
+    return (signs[1:] * terms).sum(axis=1)
 
 
 class TestZetaSumRoute:
@@ -209,6 +228,10 @@ class TestConcentration:
         assert cs.regime == "lln"
         assert_allclose(cs.target, 2.0, rtol=1e-12)   # (1+beta)/beta
         assert abs(cs.median - 2.0) < 0.1
+        same = en.sum_inverse_gap_concentration(scaled(1.0, power_tail(1.0)),
+                                                10**4, 2000, MASTER_SEED)
+        assert same.regime == "lln" and same.target == 2.0
+        assert abs(same.median - 2.0) < 0.1
         tighter = en.sum_inverse_gap_concentration(power_tail(1.0), 10**5, 2000,
                                                    MASTER_SEED)
         assert tighter.iqr < cs.iqr

@@ -10,6 +10,7 @@ from batchlab.distributions import power_tail, scaled, uniform
 from batchlab.errors import DivergenceError
 from batchlab.moment_zeta import mellin, verify_zeta_expectation, zeta
 from tests.conftest import MASTER_SEED
+from tests.test_distributions import quad_moment
 
 
 def direct_sum_oracle(dist, s, terms=10**7):
@@ -37,12 +38,14 @@ class TestMellin:
     def test_powertail_equals_first_moment(self):
         assert_allclose(mellin(power_tail(1.0), 2.0), 1.0 / 3.0, rtol=1e-10)
 
-    @pytest.mark.parametrize("dist", [uniform(), power_tail(1.0),
-                                      power_tail(-0.5), scaled(0.5, uniform())],
-                             ids=lambda d: d.spec)
+    @pytest.mark.parametrize("dist", [
+        uniform(), power_tail(-0.5), power_tail(0.3), power_tail(1.0),
+        power_tail(2.5), scaled(0.5, uniform()),
+        scaled(0.25, scaled(0.5, power_tail(-0.9)))], ids=lambda d: d.spec)
     def test_transform_interpolates_moments(self, dist):
-        for k in list(range(1, 51)) + [75, 100]:
-            assert_allclose(mellin(dist, k + 1.0), dist.moment(k),
+        # the closed form m_{s-1} against quadrature of f(x) x**(s-1)
+        for s in (0.05, 0.3, 0.7, 1.5, 2.7, 11.0, 51.0, 101.0):
+            assert_allclose(mellin(dist, s), quad_moment(dist, s - 1.0),
                             rtol=1e-10, atol=1e-300)
 
     def test_divergence_at_nonpositive_s(self):

@@ -145,12 +145,6 @@ class TestMemoryless:
         bulk = memoryless_times(tiled(p, 20000), rng)
         assert stats.ks_2samp(single, bulk).pvalue > 1e-3
 
-    def test_exclude_current_policy(self, rng):
-        # n=1: re-pick excluding the held concept always lands on the target
-        z = [simulate_memoryless([0.0], rng, exclude_current=True)
-             for _ in range(2000)]
-        assert set(z) <= {0, 1}
-
     def test_censoring_marker(self, rng):
         out = [simulate_memoryless([0.999], rng, horizon=3) for _ in range(200)]
         assert any(t is None for t in out)
