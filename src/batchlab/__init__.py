@@ -24,8 +24,8 @@ from .harness import (ComparisonTable, LogLogFit, RunConfig, ScalingReport,
                       run_scaling)
 from .moment_zeta import (ZetaExpectationCheck, ZetaValue, mellin,
                           verify_zeta_expectation, zeta)
-from .simulators import (TrialBatch, empirical_n_delta, run_trials,
-                         simulate_batch, simulate_batch_wordlevel,
+from .simulators import (TrialBatch, batch_time_quantile, empirical_n_delta,
+                         run_trials, simulate_batch, simulate_batch_wordlevel,
                          simulate_full_memory, simulate_memoryless)
 
 __version__ = "0.1.0"

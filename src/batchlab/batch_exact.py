@@ -157,7 +157,7 @@ def expected_time_series(p, eps: float = 1e-12, k_cap: int = _K_CAP) -> TimeEsti
     PrecisionLossError if the geometric bound cannot reach eps within k_cap
     steps (use :func:`expected_time_fast` for such scales).
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     arr = _as_p(p)
     if arr.size == 0:

@@ -175,8 +175,11 @@ class OverlapDistribution:
 
     @property
     def moment_rtol(self) -> float:
-        """Bound on the relative error of :meth:`moments` for k <= 2**26: the
-        rational forms round once per factor; ``poch`` measured <= 3.6e-11."""
+        """Bound on the relative error of :meth:`moments` for k up to 1e15,
+        the range the moment series and the batch-time quantile visit: the
+        rational forms round once per factor; ``poch`` measured <= 4.5e-11,
+        the largest near k = 1e4 (against 40-digit mpmath, beta in -0.9,
+        -0.5, 0.3, 0.5, 2.5, 3.7)."""
         if self.family == SCALED:
             return self.inner.moment_rtol + _ULP
         b = self.beta if self.family == POWERTAIL else 0.0

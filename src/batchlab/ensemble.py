@@ -19,8 +19,9 @@ moment series and T2 are cut by the driver and tail bracket of zeta_F
 certified tails of sum m_j, m_j**2 and m_j**3.
 
 Extreme-value and concentration diagnostics round out the picture: the
-smallest gap min(1 - p_i) scaled by n**(1/(1+beta)) has the limit CDF
-G(x) = 1 - exp(-x**(1+beta)), and sum(1/(1-p_i)) obeys a regime-dependent
+smallest gap min(1 - p_i) has the exact law P(min q > x) = (1 - x**alpha)**n
+and is drawn from it by inversion; scaled by n**(1/(1+beta)) it has the limit
+CDF G(x) = 1 - exp(-x**(1+beta)).  sum(1/(1-p_i)) obeys a regime-dependent
 normalization (law of large numbers / log scaling / stable tightness).
 """
 
@@ -38,9 +39,10 @@ from .batch_exact import expected_time_bulk, expected_time_fast  # noqa: F401
 from .distributions import OverlapDistribution
 from .errors import DivergenceError, PrecisionLossError
 from .moment_zeta import _certified_sum, zeta
-# map_chunks is unused here; bench/layertrace.py patches it in this module
+# bench/layertrace.py patches map_chunks in this module, so the name stays
 from .rng import STREAM_ENSEMBLE, STREAM_EXTREMES, map_chunks  # noqa: F401
-from .simulators import _map_overlap_rows, _median_ci_halfwidth, run_trials
+from .simulators import (_map_overlap_rows, _map_uniform_rows,
+                         _median_ci_halfwidth, run_trials)
 
 _CONDITION_LIMIT = 1e6      # ulp-loss refusal threshold for the zeta sum
 
@@ -128,7 +130,7 @@ def expected_time_moment_series(dist: OverlapDistribution, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     if dist.has_power_tail:
         alpha, _ = dist.tail_parameters()
@@ -294,9 +296,25 @@ class ExtremeValueReport:
     trials: int
 
 
+def _min_gap_quantile(v: np.ndarray, n: int, alpha: float) -> np.ndarray:
+    """Quantile of min q over n gaps with P(q <= x) = x**alpha, at 1 - v.
+
+    P(min q > x) = (1 - x**alpha)**n, so min q = (1 - v**(1/n))**(1/alpha),
+    with 1 - v**(1/n) as -expm1(log(v)/n) to keep small gaps exact.
+    """
+    with np.errstate(divide="ignore"):
+        return (-np.expm1(np.log(v) / n)) ** (1.0 / alpha)
+
+
 def extreme_value(dist: OverlapDistribution, n_values: Sequence[int],
                   trials: int, seed: int, threads: int = 1) -> ExtremeValueReport:
-    """Monte Carlo extremes of q_min = min_i (1 - p_i) across an n sweep."""
+    """Monte Carlo extremes of q_min = min_i (1 - p_i) across an n sweep.
+
+    Every law with a power tail has P(1 - p <= x) = x**alpha exactly, so each
+    trial's minimum gap is drawn by inversion of its law from one uniform of
+    the chunk streams ``(seed, STREAM_EXTREMES, j, i)`` for the j-th n; no
+    overlap vector is drawn.
+    """
     if not n_values:
         raise ValueError("need at least one n value")
     if trials < 2:
@@ -309,9 +327,8 @@ def extreme_value(dist: OverlapDistribution, n_values: Sequence[int],
     ks_n = max(n_values)
     ks_sample = None
     for j, n in enumerate(n_values):
-        qmin = _map_overlap_rows(lambda P, rng: (1.0 - P).min(axis=1),
-                                 dist, n, trials, seed, (STREAM_EXTREMES, j),
-                                 threads=threads)
+        qmin = _map_uniform_rows(lambda v, n=n: _min_gap_quantile(v, n, alpha),
+                                 trials, seed, (STREAM_EXTREMES, j), threads)
         means.append(float(qmin.mean()))
         errs.append(float(qmin.std(ddof=1) / math.sqrt(qmin.size)))
         if n == ks_n:

@@ -89,8 +89,10 @@ class RunConfig:
             raise ConfigError("trials must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
-        if self.eps <= 0.0:
-            raise ConfigError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError("eps must be positive and finite")
+        if self.s is not None and not math.isfinite(self.s):
+            raise ConfigError("s must be finite")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.horizon < 1:

@@ -99,7 +99,7 @@ def zeta(dist: OverlapDistribution, s: float, eps: float = 1e-9) -> ZetaValue:
     exceed eps when the value is large or p is near 1.  Raises
     PrecisionLossError when K = 2**26 does not meet eps.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     if dist.has_power_tail:
         alpha, _ = dist.tail_parameters()

@@ -15,10 +15,16 @@
 
 Each learner has one vectorized sampler that takes a ``(trials, n)`` overlap
 matrix and returns one time per row, with the same law as the single-trial
-loops (tested against them).  ``run_trials`` only decides where the matrix
-comes from: one fixed vector repeated, or fresh rows drawn from the overlap
-law.  Rows are drawn in fixed chunks from per-chunk streams derived from a
-master seed, so results are reproducible and independent of thread count.
+loops (tested against them).  ``run_trials`` decides where the matrix comes
+from: one fixed vector repeated, or fresh rows drawn from the overlap law.
+Fresh-p batch trials need no matrix: across trials the lifetimes G_i are
+i.i.d. with P(G > k) = m_k, so P(k0 <= k) = (1 - m_k)**n, and
+:func:`batch_time_quantile` draws k0 by inversion, one uniform per trial
+(order statistics by inversion; Devroye, *Non-Uniform Random Variate
+Generation*, 1986).  ``batch_times`` stays the fixed-p sampler and the
+oracle of that law.  Rows and uniforms are drawn in fixed chunks from
+per-chunk streams derived from a master seed, so results are reproducible
+and independent of thread count.
 """
 
 from __future__ import annotations
@@ -142,6 +148,41 @@ def batch_times(P: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return geometric_steps(P, rng).max(axis=1)
 
 
+def batch_time_quantile(dist: OverlapDistribution, n: int, u) -> np.ndarray:
+    """Quantile of the fresh-p batch time k0 at each ``u`` in [0, 1).
+
+    P(k0 <= k) = (1 - m_k)**n, so this is the smallest integer k >= 1 with
+    (1 - m_k)**n >= u, that is m_k <= t = -expm1(log(u)/n), a form of
+    1 - u**(1/n) without cancellation.  u = 0 gives 1 and n = 0 gives 0.
+    k is found by doubling and then bisection on ``dist.moments``: O(log k)
+    moment evaluations per entry, whatever n is.  Past 2**53 the float64
+    grid is coarser than 1 and the bisection stops once the midpoint rounds
+    onto an end, so k is then good to the float64 spacing; a k past the
+    float64 range comes back as inf.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if n == 0:
+        return np.zeros(u.shape)
+    with np.errstate(divide="ignore"):
+        t = -np.expm1(np.log(u) / n)
+    lo = np.zeros(u.shape)                     # m_lo > t throughout (m_0 = 1)
+    hi = np.ones(u.shape)                      # m_hi <= t once doubling stops
+    idx = np.flatnonzero(dist.moments(hi) > t)
+    while idx.size:
+        lo[idx] = hi[idx]
+        hi[idx] *= 2.0
+        idx = idx[dist.moments(hi[idx]) > t[idx]]
+    idx = np.flatnonzero(hi - lo > 1.0)
+    while idx.size:
+        mid = np.floor(lo[idx] + 0.5 * (hi[idx] - lo[idx]))
+        inner = (mid > lo[idx]) & (mid < hi[idx])
+        idx, mid = idx[inner], mid[inner]
+        below = dist.moments(mid) <= t[idx]
+        hi[idx[below]] = mid[below]
+        lo[idx[~below]] = mid[~below]
+    return hi
+
+
 # ----------------------------------------------------------------------
 # memoryless learner and learning with full memory
 # ----------------------------------------------------------------------
@@ -257,6 +298,19 @@ def _map_overlap_rows(fn, dist: Optional[OverlapDistribution], n: int,
                                      chunk_size=rows_chunk(n)))
 
 
+def _map_uniform_rows(fn, rows: int, seed: int, path: tuple,
+                      threads: int = 1) -> np.ndarray:
+    """``fn(u)`` over ``rows`` uniforms on [0, 1), one per row, in chunk order.
+
+    Chunk i covers up to ``rng.CHUNK_SIZE`` rows and draws its uniforms from
+    ``derive_rng(seed, *path, i)``.
+    """
+    def chunk(i: int, lo: int, hi: int) -> np.ndarray:
+        return fn(derive_rng(seed, *path, i).random(hi - lo))
+
+    return np.concatenate(map_chunks(chunk, rows, threads=threads))
+
+
 def run_trials(
     algorithm: str,
     dist: OverlapDistribution,
@@ -270,7 +324,9 @@ def run_trials(
     """Run ``trials`` independent trials and collect a :class:`TrialBatch`.
 
     With ``fixed_p`` the same vector is reused every trial; otherwise a
-    fresh length-n vector is drawn from ``dist`` per trial.
+    fresh length-n vector is drawn from ``dist`` per trial.  Fresh-p batch
+    trials are drawn from the exact law by :func:`batch_time_quantile`, one
+    uniform per trial from the chunk streams ``(seed, STREAM_BATCH, i)``.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick one of {ALGORITHMS}")
@@ -281,12 +337,16 @@ def run_trials(
     if fixed_p is not None:
         fixed_p = _as_p(fixed_p, forbid_one=(algorithm != "memoryless"))
         n = fixed_p.size
-    sampler = {"batch": batch_times,
-               "memoryless": lambda P, rng: memoryless_times(P, rng, horizon),
-               "full_memory": full_memory_times}[algorithm]
-    times = _map_overlap_rows(sampler, dist, n, trials, seed,
-                              (_ALG_STREAM[algorithm],), threads=threads,
-                              fixed_p=fixed_p)
+    if fixed_p is None and algorithm == "batch":
+        times = _map_uniform_rows(lambda u: batch_time_quantile(dist, n, u),
+                                  trials, seed, (STREAM_BATCH,), threads)
+    else:
+        sampler = {"batch": batch_times,
+                   "memoryless": lambda P, rng: memoryless_times(P, rng, horizon),
+                   "full_memory": full_memory_times}[algorithm]
+        times = _map_overlap_rows(sampler, dist, n, trials, seed,
+                                  (_ALG_STREAM[algorithm],), threads=threads,
+                                  fixed_p=fixed_p)
     return TrialBatch(algorithm=algorithm, n=n, times=times, seed=seed,
                       dist_spec="fixed" if fixed_p is not None else dist.spec,
                       resample_p=fixed_p is None,

@@ -199,6 +199,10 @@ class TestExitCodes:
           "scaled:a=0.5,inner=uniform"], "dist"),
         (["simulate", "--alg", "batch", "--n", "-3"], "n"),
         (["ndelta", "--p", "1.5"], "p"),
+        (["zeta", "--s", "nan"], "s"),
+        (["zeta", "--s", "2", "--eps", "nan"], "eps"),
+        (["ensemble", "--n", "10", "--dist", "powertail:beta=1", "--eps", "nan"],
+         "eps"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_documented_limits_are_config_errors(self, capsys, args, field):
         code, out, err = run_cli(args, capsys)

@@ -148,16 +148,20 @@ class TestMoments:
         mid, lo, hi = m[1:-1], m[:-2], m[2:]
         assert np.all(mid**2 <= lo * hi * (1.0 + 1e-12))
 
-    @pytest.mark.parametrize("beta", [-0.9, -0.5, 0.3, 2.5, 0.0, 3.0])
+    @pytest.mark.parametrize("beta", [-0.9, -0.5, 0.3, 2.5, 0.0, 3.0, 0.5, 3.7])
     def test_moments_against_mpmath(self, beta):
-        # non-integer beta to 1e-10 over the whole k-range the series visit
+        # non-integer beta to 1e-10 over the k-range the series and the
+        # batch-time quantile visit; k + beta + 2 is formed in mpmath: in
+        # float64 at k = 1e15 it rounds by up to 1/16, and Gamma moves by a
+        # factor of up to k**(1/16), about 9
         mp = pytest.importorskip("mpmath")
         dist = power_tail(beta)
-        ks = [10.0, 1e4, 1e6, 2.0**26]
+        ks = [10.0, 1e4, 1e6, 2.0**26, 1e10, 1e15]
         assert dist.moment_rtol <= 1e-10
         with mp.workdps(40):
             b = mp.mpf(beta)
             for k, m in zip(ks, dist.moments(np.asarray(ks))):
+                k = mp.mpf(k)
                 want = mp.gamma(b + 2) * mp.gamma(k + 1) / mp.gamma(k + b + 2)
                 assert abs(m / want - 1) <= dist.moment_rtol
 

@@ -12,7 +12,7 @@ from batchlab import ensemble as en
 from batchlab.batch_exact import expected_time_bulk
 from batchlab.distributions import power_tail, scaled, uniform
 from batchlab.errors import DivergenceError, PrecisionLossError
-from batchlab.rng import STREAM_ENSEMBLE, derive_rng
+from batchlab.rng import STREAM_ENSEMBLE, STREAM_EXTREMES, derive_rng
 from tests.conftest import MASTER_SEED
 from tests.test_moment_zeta import mpmath_moment, mpmath_sum
 
@@ -282,6 +282,30 @@ class TestExtremeValue:
     def test_rejects_no_power_tail(self):
         with pytest.raises(ValueError):
             en.extreme_value(scaled(0.5, uniform()), [10], 100, MASTER_SEED)
+
+    @pytest.mark.parametrize("dist", [uniform(), power_tail(1.0),
+                                      power_tail(-0.5)], ids=lambda d: d.spec)
+    @pytest.mark.parametrize("n", [1, 30, 1000])
+    def test_gaps_same_law_as_matrix_minimum(self, dist, n):
+        # the report's gaps come from one uniform per trial on the streams
+        # (seed, STREAM_EXTREMES, j, chunk); rebuild them, tie them to the
+        # report's mean, and compare with minima of drawn overlap vectors
+        trials = 2000
+        ev = en.extreme_value(dist, [n], trials, MASTER_SEED)
+        alpha, _ = dist.tail_parameters()
+        v = derive_rng(MASTER_SEED, STREAM_EXTREMES, 0, 0).random(trials)
+        gaps = en._min_gap_quantile(v, n, alpha)
+        assert ev.mean_min_q[0] == float(gaps.mean())
+        rng = np.random.default_rng(MASTER_SEED)
+        matrix = (1.0 - dist.sample(trials * n, rng).reshape(trials, n)).min(axis=1)
+        assert stats.ks_2samp(gaps, matrix).pvalue > 1e-3
+
+    def test_no_floor_on_tiny_gaps(self):
+        # at beta = -0.9 and n = 100 the scaled gaps live near 1e-20, below
+        # the 2**-53 resolution of an overlap drawn as p; inversion draws
+        # the gap itself
+        ev = en.extreme_value(power_tail(-0.9), [10, 100], 2000, 5)
+        assert ev.ks_distance < 0.05
 
 
 class TestRegimeWindows:

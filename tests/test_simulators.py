@@ -1,6 +1,7 @@
 """Simulators versus exact formulas and absorbing-chain oracles."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from scipy import stats
 from batchlab.batch_exact import expected_time_series, survival
 from batchlab.distributions import power_tail, uniform
 from batchlab.errors import CensoringError, DivergenceError
-from batchlab.simulators import (batch_times, empirical_n_delta,
-                                 full_memory_times, memoryless_times,
-                                 run_trials, simulate_batch,
+from batchlab.simulators import (batch_time_quantile, batch_times,
+                                 empirical_n_delta, full_memory_times,
+                                 memoryless_times, run_trials, simulate_batch,
                                  simulate_batch_wordlevel, simulate_full_memory,
                                  simulate_memoryless)
 from tests.conftest import MASTER_SEED
@@ -109,6 +110,64 @@ class TestBatchSimulator:
     def test_times_at_least_one(self, rng):
         times = batch_times(tiled([0.001, 0.7], 1000), rng)
         assert times.min() >= 1
+
+
+class TestBatchTimeQuantile:
+    """The fresh-p batch sampler inverts P(k0 <= k) = (1 - m_k)**n."""
+
+    @pytest.mark.parametrize("dist", [uniform(), power_tail(1.0),
+                                      power_tail(-0.5)], ids=lambda d: d.spec)
+    @pytest.mark.parametrize("n", [1, 30, 1000])
+    def test_same_law_as_matrix_sampler(self, dist, n, master_seed):
+        trials = 2000
+        drawn = run_trials("batch", dist, n, trials, master_seed).times
+        rng = np.random.default_rng(master_seed)
+        P = dist.sample(trials * n, rng).reshape(trials, n)
+        assert stats.ks_2samp(drawn, batch_times(P, rng)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("dist", [uniform(), power_tail(1.0),
+                                      power_tail(2.5), power_tail(-0.5)],
+                             ids=lambda d: d.spec)
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_exact_bracket(self, dist, n, rng):
+        # (1 - m_{k-1})**n < u <= (1 - m_k)**n, m_0 = 1; checked where k is
+        # small enough that consecutive moments differ by far more than
+        # their rounding
+        u = rng.random(4000)
+        k = batch_time_quantile(dist, n, u)
+        keep = k <= 2.0**20
+        assert keep.sum() >= 2000
+        u, k = u[keep], k[keep]
+        assert np.all(k >= 1) and np.array_equal(k, np.floor(k))
+        cdf = lambda m: np.exp(n * np.log1p(-m))
+        below = np.where(k > 1, cdf(dist.moments(np.maximum(k - 1, 1))), 0.0)
+        assert np.all(below < u)
+        assert np.all(u <= cdf(dist.moments(k)))
+
+    @pytest.mark.parametrize("beta, n", [(-0.5, 10**5), (-0.9, 10**5),
+                                         (-0.9, 30)])
+    def test_bounded_time_near_one(self, beta, n):
+        # 1 - u < 1e-3 puts k0 past 2**53 at beta = -0.5, n = 1e5, where
+        # the float64 grid is coarser than 1; the bisection must still stop
+        u = 1.0 - np.asarray([1e-3, 1e-6, 1e-12, 2.0**-53])
+        out = {}
+        worker = threading.Thread(
+            target=lambda: out.setdefault(
+                "k", batch_time_quantile(power_tail(beta), n, u)),
+            daemon=True)
+        worker.start()
+        worker.join(timeout=60.0)
+        assert not worker.is_alive(), "batch_time_quantile did not return"
+        k = out["k"]
+        assert np.all(np.isfinite(k)) and np.all(np.diff(k) >= 0.0)
+        assert k[-1] > 2.0**53
+
+    def test_edge_cases(self):
+        u = np.asarray([0.0, 0.3, 0.85])
+        assert batch_time_quantile(uniform(), 0, u).tolist() == [0.0, 0.0, 0.0]
+        assert batch_time_quantile(uniform(), 5, u)[0] == 1.0
+        # n = 1, uniform law: P(k0 <= k) = k/(k+1)
+        assert batch_time_quantile(uniform(), 1, u).tolist() == [1.0, 1.0, 6.0]
 
 
 class TestMemoryless:
@@ -213,6 +272,14 @@ class TestRunTrials:
             b = run_trials(alg, u, 30, 50000, master_seed, threads=4).times
             assert np.array_equal(a, b)
 
+    def test_fresh_batch_chunks_reproducible_across_threads(self, master_seed):
+        # 140000 trials make three chunks of uniforms
+        a = run_trials("batch", power_tail(-0.5), 30, 140000, master_seed,
+                       threads=1).times
+        b = run_trials("batch", power_tail(-0.5), 30, 140000, master_seed,
+                       threads=4).times
+        assert np.array_equal(a, b)
+
     def test_fixed_p_reproducible_across_threads(self, master_seed):
         # n = 1000 puts 4194 rows in a chunk, so 5000 trials make two chunks
         p = np.random.default_rng(master_seed).random(1000) * 0.9
@@ -225,7 +292,8 @@ class TestRunTrials:
 
     def test_pinned_times(self, master_seed):
         # fresh uniform p, n = 30: the first eight times of one chunk
-        want = {"batch": [84, 26, 98, 7, 44, 88, 41, 28],
+        # batch: one uniform per trial, inverted through the exact law
+        want = {"batch": [14, 24, 48, 10, 46, 19, 32, 48],
                 "memoryless": [1, 223, 1555, 2, 75, 26, 1, 20],
                 "full_memory": [42, 272, 91, 368, 10, 0, 49, 91]}
         for alg, times in want.items():
