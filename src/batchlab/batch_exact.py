@@ -136,7 +136,11 @@ def coarse_bounds(p) -> tuple[float, float]:
 
     The sandwich holds for the word count T + 1:
     max 1/(1-p_i) <= T + 1 <= sum 1/(1-p_i) (the lower bound can exceed T
-    itself, e.g. p = (0.5) where T = 1 but max 1/(1-p) = 2).
+    itself, e.g. p = (0.5) where T = 1 but max 1/(1-p) = 2).  The upper
+    bound is the memoryless learner's mean settle time on the same vector
+    (n wrong holds on average, each of mean S/n), so T + 1 <= S is the
+    per-vector form of "batch is never worse than memoryless" in
+    expectation.
     """
     arr = _as_p(p)
     if arr.size == 0:

@@ -41,8 +41,8 @@ from .errors import DivergenceError, PrecisionLossError
 from .moment_zeta import _certified_sum, zeta
 # bench/layertrace.py patches map_chunks in this module, so the name stays
 from .rng import STREAM_ENSEMBLE, STREAM_EXTREMES, map_chunks  # noqa: F401
-from .simulators import (_map_overlap_rows, _map_uniform_rows,
-                         _median_ci_halfwidth, run_trials)
+from .simulators import (_map_overlap_rows, _map_rows, _median_ci_halfwidth,
+                         run_trials)
 
 _CONDITION_LIMIT = 1e6      # ulp-loss refusal threshold for the zeta sum
 
@@ -327,8 +327,9 @@ def extreme_value(dist: OverlapDistribution, n_values: Sequence[int],
     ks_n = max(n_values)
     ks_sample = None
     for j, n in enumerate(n_values):
-        qmin = _map_uniform_rows(lambda v, n=n: _min_gap_quantile(v, n, alpha),
-                                 trials, seed, (STREAM_EXTREMES, j), threads)
+        qmin = _map_rows(
+            lambda rng, count, n=n: _min_gap_quantile(rng.random(count), n, alpha),
+            trials, seed, (STREAM_EXTREMES, j), threads)
         means.append(float(qmin.mean()))
         errs.append(float(qmin.std(ddof=1) / math.sqrt(qmin.size)))
         if n == ks_n:

@@ -337,13 +337,18 @@ def _bootstrap_exponent_ci(config, samples, values, fit) -> tuple:
     keep = [i for i, n in enumerate(config.n_sweep)
             if float(n) not in fit.discarded]
     ns = [config.n_sweep[i] for i in keep]
-    exps = []
-    for _ in range(_BOOTSTRAP_RESAMPLES):
-        vals = []
-        for i in keep:
-            t = samples[i]
-            vals.append(float(np.median(t[rng.integers(0, t.size, t.size)])))
-        exps.append(np.polyfit(np.log(ns), np.log(vals), 1)[0])
+    # index vectors in fit-major order, one median call per block of fits
+    # (one block unless the resamples pass 2**22 floats), one 2-D fit
+    size = samples[keep[0]].size
+    block = max(1, (1 << 22) // (len(keep) * size))
+    vals = []
+    for start in range(0, _BOOTSTRAP_RESAMPLES, block):
+        fits = min(block, _BOOTSTRAP_RESAMPLES - start)
+        vals.append(np.median(np.stack(
+            [samples[i][rng.integers(0, size, size)]
+             for _ in range(fits) for i in keep]), axis=-1))
+    vals = np.concatenate(vals).reshape(_BOOTSTRAP_RESAMPLES, len(keep))
+    exps = np.polyfit(np.log(ns), np.log(vals.T), 1)[0]
     lo, hi = np.quantile(exps, [0.025, 0.975])
     return (float(min(lo, fit.exponent)), float(max(hi, fit.exponent)))
 

@@ -17,14 +17,23 @@ Each learner has one vectorized sampler that takes a ``(trials, n)`` overlap
 matrix and returns one time per row, with the same law as the single-trial
 loops (tested against them).  ``run_trials`` decides where the matrix comes
 from: one fixed vector repeated, or fresh rows drawn from the overlap law.
-Fresh-p batch trials need no matrix: across trials the lifetimes G_i are
-i.i.d. with P(G > k) = m_k, so P(k0 <= k) = (1 - m_k)**n, and
-:func:`batch_time_quantile` draws k0 by inversion, one uniform per trial
-(order statistics by inversion; Devroye, *Non-Uniform Random Variate
-Generation*, 1986).  ``batch_times`` stays the fixed-p sampler and the
-oracle of that law.  Rows and uniforms are drawn in fixed chunks from
-per-chunk streams derived from a master seed, so results are reproducible
-and independent of thread count.
+With fresh p two learners need no matrix, because across trials the
+lifetimes G_i are i.i.d. with P(G > k) = m_k:
+
+* batch: P(k0 <= k) = (1 - m_k)**n, and :func:`batch_time_quantile` draws
+  k0 by inversion, one uniform per trial (order statistics by inversion);
+* full memory: the target's rank among the n + 1 concepts is uniform, so
+  J ~ U{0..n} concepts are held before it, and the time is the sum of J
+  i.i.d. lifetimes, drawn by composition in :func:`full_memory_ensemble_times`
+  (about n/2 overlaps and waits per trial instead of 3n + 1 draws).
+
+Both are composition and inversion methods from Devroye, *Non-Uniform Random
+Variate Generation* (1986).  With fixed p the lifetimes are not identically
+distributed, so ``batch_times`` and ``full_memory_times`` stay the fixed-p
+samplers and the oracles of those laws; memoryless re-picks share one p, so
+it has no such law.  Rows are drawn in fixed chunks from per-chunk streams
+derived from a master seed, so results are reproducible and independent of
+thread count.
 """
 
 from __future__ import annotations
@@ -39,8 +48,8 @@ from .batch_exact import _as_p
 from .distributions import OverlapDistribution
 from .errors import CensoringError
 # map_chunks is called as a module global so bench/layertrace.py can wrap it
-from .rng import (STREAM_BATCH, STREAM_FULL_MEMORY, STREAM_MEMORYLESS,
-                  derive_rng, map_chunks, rows_chunk)
+from .rng import (CHUNK_SIZE, STREAM_BATCH, STREAM_FULL_MEMORY,
+                  STREAM_MEMORYLESS, derive_rng, map_chunks, rows_chunk)
 
 DEFAULT_HORIZON = 1_000_000
 
@@ -273,42 +282,56 @@ def full_memory_times(P: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (waits * before).sum(axis=1)
 
 
+def full_memory_ensemble_times(dist: OverlapDistribution, n: int,
+                               count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` full-memory settle times, each with a fresh overlap vector.
+
+    Composition of the ensemble law: J ~ U{0..n} concepts are held before
+    the target, their overlaps are i.i.d. from ``dist`` and each is held for
+    a geometric wait, so the time is the sum of J i.i.d. lifetimes with
+    P(G > k) = m_k.  Draws J for every trial, then sum(J) overlaps, then
+    sum(J) waits; n = 0 gives zeros.
+    """
+    held = rng.integers(0, n + 1, size=count)
+    waits = geometric_steps(dist.sample(int(held.sum()), rng), rng)
+    times = np.bincount(np.repeat(np.arange(count), held), weights=waits,
+                        minlength=count)
+    return times.astype(np.float64, copy=False)    # int64 when sum(J) = 0
+
+
 # ----------------------------------------------------------------------
 # chunked runners (fresh p per trial or fixed p), deterministic under threads
 # ----------------------------------------------------------------------
 
 
+def _map_rows(fn, rows: int, seed: int, path: tuple, threads: int = 1,
+              chunk_size: int = CHUNK_SIZE) -> np.ndarray:
+    """``fn(rng, count)`` over ``rows`` rows, concatenated in chunk order.
+
+    Chunk i covers up to ``chunk_size`` of the rows and hands ``fn`` the
+    generator ``derive_rng(seed, *path, i)`` and its row count.
+    """
+    def chunk(i: int, lo: int, hi: int) -> np.ndarray:
+        return fn(derive_rng(seed, *path, i), hi - lo)
+
+    return np.concatenate(map_chunks(chunk, rows, threads=threads,
+                                     chunk_size=chunk_size))
+
+
 def _map_overlap_rows(fn, dist: Optional[OverlapDistribution], n: int,
                       rows: int, seed: int, path: tuple, threads: int = 1,
                       fixed_p: Optional[np.ndarray] = None) -> np.ndarray:
-    """``fn(P, rng)`` over ``rows`` overlap rows, concatenated in chunk order.
+    """``fn(P, rng)`` over ``rows`` overlap rows in chunks of ``rows_chunk(n)``.
 
-    Chunk i covers up to ``rows_chunk(n)`` of the rows and draws from
-    ``derive_rng(seed, *path, i)``.  Its matrix ``P`` repeats ``fixed_p``
-    when given; otherwise ``P`` is drawn from ``dist`` on that stream before
-    ``fn`` draws from it.
+    Each chunk's matrix ``P`` repeats ``fixed_p`` when given; otherwise it
+    is drawn from ``dist`` on the chunk's stream before ``fn`` draws from it.
     """
-    def chunk(i: int, lo: int, hi: int) -> np.ndarray:
-        rng = derive_rng(seed, *path, i)
+    def chunk(rng: np.random.Generator, count: int) -> np.ndarray:
         if fixed_p is not None:
-            return fn(np.broadcast_to(fixed_p, (hi - lo, n)), rng)
-        return fn(dist.sample((hi - lo) * n, rng).reshape(hi - lo, n), rng)
+            return fn(np.broadcast_to(fixed_p, (count, n)), rng)
+        return fn(dist.sample(count * n, rng).reshape(count, n), rng)
 
-    return np.concatenate(map_chunks(chunk, rows, threads=threads,
-                                     chunk_size=rows_chunk(n)))
-
-
-def _map_uniform_rows(fn, rows: int, seed: int, path: tuple,
-                      threads: int = 1) -> np.ndarray:
-    """``fn(u)`` over ``rows`` uniforms on [0, 1), one per row, in chunk order.
-
-    Chunk i covers up to ``rng.CHUNK_SIZE`` rows and draws its uniforms from
-    ``derive_rng(seed, *path, i)``.
-    """
-    def chunk(i: int, lo: int, hi: int) -> np.ndarray:
-        return fn(derive_rng(seed, *path, i).random(hi - lo))
-
-    return np.concatenate(map_chunks(chunk, rows, threads=threads))
+    return _map_rows(chunk, rows, seed, path, threads, chunk_size=rows_chunk(n))
 
 
 def run_trials(
@@ -323,10 +346,14 @@ def run_trials(
 ) -> TrialBatch:
     """Run ``trials`` independent trials and collect a :class:`TrialBatch`.
 
-    With ``fixed_p`` the same vector is reused every trial; otherwise a
-    fresh length-n vector is drawn from ``dist`` per trial.  Fresh-p batch
-    trials are drawn from the exact law by :func:`batch_time_quantile`, one
-    uniform per trial from the chunk streams ``(seed, STREAM_BATCH, i)``.
+    With ``fixed_p`` the same vector is reused every trial and each learner
+    runs its matrix sampler.  Otherwise a fresh length-n vector is drawn
+    from ``dist`` per trial, and two learners are drawn from their ensemble
+    laws instead: batch by :func:`batch_time_quantile`, one uniform per
+    trial in chunks of ``rng.CHUNK_SIZE``, and full memory by composition
+    in :func:`full_memory_ensemble_times` (J ~ U{0..n} held concepts with
+    i.i.d. lifetimes) in chunks of ``rows_chunk(n)``.  Chunk i of a learner
+    draws from ``derive_rng(seed, <learner stream>, i)``.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick one of {ALGORITHMS}")
@@ -337,16 +364,21 @@ def run_trials(
     if fixed_p is not None:
         fixed_p = _as_p(fixed_p, forbid_one=(algorithm != "memoryless"))
         n = fixed_p.size
+    path = (_ALG_STREAM[algorithm],)
     if fixed_p is None and algorithm == "batch":
-        times = _map_uniform_rows(lambda u: batch_time_quantile(dist, n, u),
-                                  trials, seed, (STREAM_BATCH,), threads)
+        times = _map_rows(
+            lambda rng, count: batch_time_quantile(dist, n, rng.random(count)),
+            trials, seed, path, threads)
+    elif fixed_p is None and algorithm == "full_memory":
+        times = _map_rows(
+            lambda rng, count: full_memory_ensemble_times(dist, n, count, rng),
+            trials, seed, path, threads, chunk_size=rows_chunk(n))
     else:
         sampler = {"batch": batch_times,
                    "memoryless": lambda P, rng: memoryless_times(P, rng, horizon),
                    "full_memory": full_memory_times}[algorithm]
-        times = _map_overlap_rows(sampler, dist, n, trials, seed,
-                                  (_ALG_STREAM[algorithm],), threads=threads,
-                                  fixed_p=fixed_p)
+        times = _map_overlap_rows(sampler, dist, n, trials, seed, path,
+                                  threads=threads, fixed_p=fixed_p)
     return TrialBatch(algorithm=algorithm, n=n, times=times, seed=seed,
                       dist_spec="fixed" if fixed_p is not None else dist.spec,
                       resample_p=fixed_p is None,

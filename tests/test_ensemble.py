@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.integrate import quad
@@ -135,6 +137,18 @@ class TestMomentSeriesRoute:
         loose = en.expected_time_moment_series(power_tail(1.0), 50, eps=1e-4)
         tight = en.expected_time_moment_series(power_tail(1.0), 50, eps=1e-9)
         assert abs(loose.value - tight.value) <= loose.error_bound
+
+    @given(beta=st.floats(min_value=0.2, max_value=20.0),
+           n=st.integers(min_value=1, max_value=3000))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_never_slower_than_memoryless(self, beta, n):
+        # E[k0] = 1 + series <= n(1+beta)/beta, the memoryless ensemble
+        # mean n E[1/(1-p)]; equality at n = 1, where k0 is one lifetime
+        r = en.expected_time_moment_series(power_tail(beta), n)
+        memoryless = n * (1.0 + beta) / beta
+        assert r.value + 1.0 <= memoryless + r.error_bound
+        if n == 1:
+            assert r.value + 1.0 >= memoryless - r.error_bound
 
 
 class TestAlpha1Split:

@@ -5,12 +5,16 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 from scipy import stats
 
 from batchlab.batch_exact import expected_time_series, survival
 from batchlab.distributions import power_tail, uniform
 from batchlab.errors import CensoringError, DivergenceError
+from batchlab.rng import rows_chunk
 from batchlab.simulators import (batch_time_quantile, batch_times,
                                  empirical_n_delta, full_memory_times,
                                  memoryless_times, run_trials, simulate_batch,
@@ -170,6 +174,42 @@ class TestBatchTimeQuantile:
         assert batch_time_quantile(uniform(), 1, u).tolist() == [1.0, 1.0, 6.0]
 
 
+class TestFullMemoryEnsembleLaw:
+    """Fresh-p full memory: the sum of J ~ U{0..n} i.i.d. lifetimes."""
+
+    @pytest.mark.parametrize("dist", [uniform(), power_tail(1.0),
+                                      power_tail(-0.5)], ids=lambda d: d.spec)
+    @pytest.mark.parametrize("n", [1, 30, 1000])
+    def test_same_law_as_matrix_sampler(self, dist, n, master_seed):
+        trials = 2000
+        drawn = run_trials("full_memory", dist, n, trials, master_seed).times
+        rng = np.random.default_rng(master_seed)
+        P = dist.sample(trials * n, rng).reshape(trials, n)
+        assert stats.ks_2samp(drawn, full_memory_times(P, rng)).pvalue > 1e-3
+
+    def test_mean_matches_half_memoryless_mean(self, master_seed):
+        # E[T] = E[J] E[G] = (n/2) alpha/(alpha-1) = n(1+beta)/(2 beta); the
+        # variance of G is finite for beta > 1
+        beta, n = 2.5, 200
+        t = run_trials("full_memory", power_tail(beta), n, 10**5,
+                       master_seed).times
+        want = n * (1.0 + beta) / (2.0 * beta)
+        assert abs(t.mean() - want) <= 4.0 * t.std(ddof=1) / math.sqrt(t.size)
+
+    def test_no_concepts(self, master_seed):
+        t = run_trials("full_memory", uniform(), 0, 5, master_seed).times
+        assert t.dtype == np.float64 and t.tolist() == [0.0] * 5
+
+    def test_chunks_reproducible_across_threads(self, master_seed):
+        n = 1000
+        trials = 2 * rows_chunk(n) + 7            # three chunks
+        a = run_trials("full_memory", power_tail(-0.5), n, trials,
+                       master_seed, threads=1).times
+        b = run_trials("full_memory", power_tail(-0.5), n, trials,
+                       master_seed, threads=2).times
+        assert np.array_equal(a, b)
+
+
 class TestMemoryless:
     def test_empty_concept_set(self, rng):
         assert simulate_memoryless([], rng) == 0
@@ -292,10 +332,11 @@ class TestRunTrials:
 
     def test_pinned_times(self, master_seed):
         # fresh uniform p, n = 30: the first eight times of one chunk
-        # batch: one uniform per trial, inverted through the exact law
+        # batch: one uniform per trial, inverted through the exact law;
+        # full memory: J held concepts, then their overlaps and waits
         want = {"batch": [14, 24, 48, 10, 46, 19, 32, 48],
                 "memoryless": [1, 223, 1555, 2, 75, 26, 1, 20],
-                "full_memory": [42, 272, 91, 368, 10, 0, 49, 91]}
+                "full_memory": [18, 3, 39, 210, 1501, 77, 87, 101]}
         for alg, times in want.items():
             got = run_trials(alg, uniform(), 30, 64, master_seed).times[:8]
             assert got.tolist() == times
@@ -321,6 +362,33 @@ class TestRunTrials:
     def test_horizon_below_one_rejected(self):
         with pytest.raises(ValueError):
             run_trials("memoryless", uniform(), 5, 5, 0, horizon=0)
+
+
+@st.composite
+def raised_overlaps(draw):
+    """(P, P') of one (rows, n) shape with P <= P' < 1 elementwise."""
+    shape = (draw(st.integers(min_value=1, max_value=12)),
+             draw(st.integers(min_value=0, max_value=8)))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    P = 0.99 * draw(hnp.arrays(np.float64, shape, elements=unit))
+    return P, P + (0.995 - P) * draw(hnp.arrays(np.float64, shape, elements=unit))
+
+
+class TestMonotoneInOverlaps:
+    """Same generator seed and P' >= P elementwise: no time gets shorter."""
+
+    @pytest.mark.parametrize("sampler", [
+        batch_times, full_memory_times,
+        lambda P, rng: memoryless_times(P, rng, horizon=500)],
+        ids=["batch", "full_memory", "memoryless"])
+    @given(pair=raised_overlaps(),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_times_monotone(self, sampler, pair, seed):
+        P, P_up = pair
+        low = sampler(P, np.random.default_rng(seed))
+        high = sampler(P_up, np.random.default_rng(seed))
+        assert np.all(high >= low)
 
 
 class TestEmpiricalNDelta:
