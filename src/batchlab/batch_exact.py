@@ -14,20 +14,36 @@ of teacher words consumed is E[k0] = 1 + T for n >= 1 (the k = 0 term of
 the tail-sum identity), so both are returned.  Simulator comparisons use
 ``steps_expectation``.
 
-Every power p_i**x is taken by one kernel, which works on log overlaps
-sorted in descending order (zero overlaps dropped) and cuts the columns
-whose powers are below e**-40 of the leading one.
+Every power p_i**x of the oracles and of the integral is taken by one
+kernel, which works on log overlaps sorted in descending order (zero
+overlaps dropped), cuts the columns whose powers are below e**-40 of the
+leading one and raises the rest to at least that level.
 
 For ensembles of large vectors (scales up to ~n**2 steps for negative tail
 exponents) one evaluator, vectorized over the rows of an overlap matrix,
-replaces the exact k-by-k sum: an exact head of 256 steps, from which a row
-retires to a closed-form geometric tail once S(k) = sum p_i**k is
-negligible, then, for the rows still alive, an Euler-Maclaurin corrected
-Gauss-Legendre integral on a geometric grid, then the same closed-form
-tail.  :func:`expected_time_bulk` runs it on a matrix and
-:func:`expected_time_fast` on one vector; a row's value does not depend on
-the other rows beyond rounding.  Accuracy is ~1e-5 relative, checked against the exact
-series where both run.
+replaces the exact k-by-k sum.  Rows are sorted by p_max and taken in
+sub-blocks of about 2**16 overlaps, so that each sub-block cuts its own
+dead columns and retires its own rows.  Per row:
+
+1. *Saturated steps are counted.*  prod_i(1 - p_i**k) <= exp(-S(k)), with
+   S(k) = sum_i p_i**k, so q_k rounds to exactly 1.0 while S(k) >= 40; the
+   last such k is found by doubling and bisection on S and added as is.
+2. *Exact head* up to step 256: p**(k+1) = p**k * p from p**1 = p, at most
+   256 * 2**-53 relative from the recurrence, and q_k = 1 - prod(1 - p**k)
+   as a product over the columns, off by about n * 2**-53 / q_k relative.
+   q_1, which can be as small as the overlaps, is taken in log space.  A
+   row retires once S(k) <= 1e-4; every step it took before had
+   S > 1e-4 and so q > 1 - exp(-1e-4), so the product form moves T by at
+   most about n * 1.1e-12 relative.
+3. *Euler-Maclaurin*: for the rows still alive, a corrected Gauss-Legendre
+   integral on a geometric grid from step 257, or from the step after the
+   saturated ones where those run past the head, to where S is small.
+4. The same *closed-form tail* as a row that retired in the head.
+
+:func:`expected_time_bulk` runs it on a matrix and :func:`expected_time_fast`
+on one vector; a row's value does not depend on the other rows beyond
+rounding.  Accuracy is ~1e-5 relative, checked against the exact series
+where both run.
 """
 
 from __future__ import annotations
@@ -47,7 +63,7 @@ _TAIL_ORDERS = 5           # log1p expansion orders kept in closed-form tails
 _EXACT_HEAD = 256          # exact k-summation range before the integral part
 _K_CAP = 1 << 25
 _DEAD = 40.0               # powers below e**-40 of the leading one are cut
-_X_BUDGET = 1 << 16        # powers per kernel call when several x share one
+_X_BUDGET = 1 << 16        # overlaps per sub-block; powers per kernel call, head batch
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
@@ -62,11 +78,24 @@ def _as_p(p, forbid_one: bool = True) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
     if arr.ndim != 1:
         raise ValueError("overlap vector must be one-dimensional")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise ValueError("overlap probabilities must lie in [0, 1]")
-    if forbid_one and arr.size and arr.max() >= 1.0:
-        raise DivergenceError("an overlap probability of exactly 1 makes the "
-                              "expected learning time infinite")
+    return _checked(arr, forbid_one)
+
+
+def _checked(arr: np.ndarray, forbid_one: bool = True) -> np.ndarray:
+    """``arr`` if every entry lies in [0, 1], and below 1 when ``forbid_one``.
+
+    NaN fails the range test (every comparison with it is false), so it
+    raises ValueError like any other entry outside [0, 1]; only an entry of
+    exactly 1 raises DivergenceError.
+    """
+    if arr.size:
+        lo, hi = arr.min(), arr.max()
+        if not (lo >= 0.0 and hi <= 1.0):
+            raise ValueError("overlap probabilities must lie in [0, 1], got "
+                             f"min {lo} and max {hi}")
+        if forbid_one and hi == 1.0:
+            raise DivergenceError("an overlap probability of exactly 1 makes the "
+                                  "expected learning time infinite")
     return arr
 
 
@@ -75,23 +104,33 @@ def _log_desc(arr: np.ndarray) -> np.ndarray:
     return np.log(-np.sort(-arr[arr > 0.0]))
 
 
+def _live(top: np.ndarray, x_min) -> int:
+    """How many leading columns of ``top`` are not dead at any x >= x_min."""
+    cut = _DEAD / x_min if x_min > 0.0 else math.inf
+    return int(np.searchsorted(-top, cut - top[0]))
+
+
 def _powers(logp: np.ndarray, x, top: np.ndarray) -> np.ndarray:
     """p**x = exp(x * log p) over the live leading columns of ``logp``.
 
     ``logp`` is (n,) or (rows, n) with every row in descending order, and
     ``top`` (n,) bounds its columns from above, also descending.  Columns j
-    with top_j * x <= top_0 * x - 40 for every x are dead and cut: each of
-    their powers is below e**-40 = 4e-18 of the leading one, so a sum that
+    with top_j * x <= top_0 * x - 40 for every x are dead and cut, and a
+    kept power below e**-40 of its row's leading one is raised to that
+    level, so that exp meets no subnormal result (about 100 times the cost
+    of a normal one) while the leading power is normal.  Either way only
+    powers below e**-40 = 4e-18 of the leading one change, so a sum that
     holds the leading power moves by at most n * 4e-18 relative.  ``x``
     broadcasts against the rows of ``logp`` (shape (..., rows), or any
     shape for one vector); the result has the broadcast shape plus a last
     axis over the live columns.
     """
     x = np.asarray(x, dtype=np.float64)
-    with np.errstate(divide="ignore", under="ignore"):
-        x_min = np.min(x, initial=np.inf)
-        live = int(np.searchsorted(-top, _DEAD / x_min - top[0]))
-        return np.exp(x[..., None] * logp[..., :live])
+    live = _live(top, np.min(x, initial=np.inf))
+    z = x[..., None] * logp[..., :live]
+    np.maximum(z, z[..., :1] - _DEAD, out=z)
+    with np.errstate(under="ignore"):
+        return np.exp(z, out=z)
 
 
 def _q(pk: np.ndarray) -> np.ndarray:
@@ -271,15 +310,15 @@ def expected_time_fast(p) -> TimeEstimate:
 def expected_time_bulk(P: np.ndarray) -> np.ndarray:
     """Expected times T for each row of P.
 
-    Rows are evaluated together, in blocks of bounded memory, by the exact
-    head, the Euler-Maclaurin integral and the closed-form tail described
-    in the module docstring.  Accuracy ~1e-5 relative.
+    Rows are evaluated together, in blocks of bounded memory, by the
+    saturated count, the exact head, the Euler-Maclaurin integral and the
+    closed-form tail described in the module docstring.  Accuracy ~1e-5
+    relative.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2:
         raise ValueError("P must be (rows, n)")
-    if P.size and P.max() >= 1.0:
-        raise DivergenceError("overlap probability of exactly 1 in bulk input")
+    _checked(P)
     rows, n = P.shape
     T = np.zeros(rows)
     if n == 0:
@@ -291,8 +330,24 @@ def expected_time_bulk(P: np.ndarray) -> np.ndarray:
 
 
 def _expected_times(P: np.ndarray) -> np.ndarray:
-    """T for each row of a (rows, n) block of overlaps in [0, 1)."""
+    """T for each row of a (rows, n) block of overlaps in [0, 1).
+
+    Rows are sorted by p_max and cut into sub-blocks of about _X_BUDGET
+    overlaps, so a sub-block's live columns and retirements follow its own
+    rows rather than the widest row of the block.
+    """
     P = -np.sort(-P, axis=1)
+    order = np.argsort(P[:, 0], kind="stable")
+    T = np.empty(len(P))
+    step = rows_chunk(P.shape[1], _X_BUDGET)
+    for lo in range(0, len(P), step):
+        rows = order[lo:lo + step]
+        T[rows] = _sub_block_times(P[rows])
+    return T
+
+
+def _sub_block_times(P: np.ndarray) -> np.ndarray:
+    """T for each row of P, every row in descending order."""
     positives = np.count_nonzero(P, axis=1)
     if not positives.any():
         return np.zeros(len(P))
@@ -300,40 +355,115 @@ def _expected_times(P: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         logp = np.log(P)
     top = logp.max(axis=0)
-    T = np.zeros(len(P))
+    # q_k rounds to exactly 1.0 while S(k) >= 40, so those steps are counted
+    saturated = _first_step(
+        lambda idx, k: _powers(logp[idx], k, top).sum(axis=1) < _DEAD, len(P)) - 1.0
+    T = saturated.copy()
     start = np.zeros(len(P))                    # where each row's tail starts
-    rows, L, k = np.arange(len(P)), logp, 0
-    while rows.size and k < _EXACT_HEAD:
-        last = min(k + rows_chunk(L.size, _X_BUDGET), _EXACT_HEAD)
-        ks = np.arange(k + 1, last + 1, dtype=np.float64)
-        pk = _powers(L, ks[:, None], top)        # (steps, rows, live)
-        # a row takes each step up to the first with S(k) <= threshold
-        alive = np.logical_and.accumulate(pk.sum(axis=2) > _TAIL_S_THRESHOLD)
-        taken = np.vstack([np.ones((1, len(rows)), bool), alive[:-1]])
-        T[rows] += (_q(pk) * taken).sum(axis=0)
-        done = ~alive[-1]
-        if done.any():
-            start[rows[done]] = k + taken[:, done].sum(axis=0)
-            rows, L = rows[~done], L[~done]
-        k = last
+    rows = _exact_head(P, T, start, np.flatnonzero(saturated < _EXACT_HEAD), top)
+    rows = np.union1d(rows, np.flatnonzero(saturated >= _EXACT_HEAD))
     if rows.size:
-        middle, start[rows] = _euler_maclaurin(L, positives[rows], top)
+        a = np.maximum(saturated[rows], _EXACT_HEAD) + 1.0
+        middle, start[rows] = _euler_maclaurin(logp[rows], a, positives[rows], top)
         T[rows] += middle
     return T + _closed_form_tail(logp, start, top)
 
 
-def _euler_maclaurin(L: np.ndarray, positives: np.ndarray, top: np.ndarray):
-    """(sum_{k=a}^{b} q_k, b) per row, a = head + 1 and b where S(b) is small.
+def _exact_head(P, T, start, rows, top) -> np.ndarray:
+    """Add q_k for k up to _EXACT_HEAD to T[rows]; return the rows still alive.
+
+    A row takes each step up to the first with S(k) <= _TAIL_S_THRESHOLD,
+    records that k in ``start`` and retires.  The head starts after the
+    fewest saturated steps among ``rows``: T[rows] is reset to that count,
+    and a row's own saturated steps after it add q = 1.0 exactly.  Powers
+    come by the recurrence p**(k+1) = p**k * p from p**1 = p, one rounding
+    per step, held as (columns, rows) so that the product runs over axis 0;
+    steps are taken in batches of about _X_BUDGET powers, so narrow rows
+    share one batch among many steps.
+    """
+    if not rows.size:
+        return rows
+    first = int(T[rows].min())
+    T[rows] = first
+    p = P[rows].T.copy()
+    pk = np.ones_like(p)                        # p**(k-1)
+    k = 1
+    while k <= _EXACT_HEAD:
+        live = _live(top, k)
+        p, pk = p[:live], pk[:live]
+        if k <= first:
+            pk *= p
+            k += 1
+            continue
+        m = min(rows_chunk(p.size, _X_BUDGET), _EXACT_HEAD + 1 - k)
+        pks = np.empty((m,) + p.shape)          # p**k, ..., p**(k+m-1)
+        np.multiply(pk, p, out=pks[0])
+        for j in range(1, m):
+            np.multiply(pks[j - 1], p, out=pks[j])
+        alive = np.logical_and.accumulate(pks.sum(axis=1) > _TAIL_S_THRESHOLD)
+        # q_1 may be as small as p_max, so it is taken in log space
+        q_1 = _q(pks[0].T) if k == 1 else None
+        pk[...] = pks[-1]
+        q = 1.0 - np.prod(np.subtract(1.0, pks, out=pks), axis=1)
+        del pks                     # freed before the next batch is allocated
+        if k == 1:
+            q[0] = q_1
+        q[1:] *= alive[:-1]
+        T[rows] += q.sum(axis=0)
+        k += m
+        done = ~alive[-1]
+        if done.any():
+            start[rows[done]] = k - m + alive[:, done].sum(axis=0)
+            keep = ~done
+            rows = rows[keep]
+            # compress keeps C order, where p[:, keep] would return F order
+            p, pk = p.compress(keep, axis=1), pk.compress(keep, axis=1)
+            if not rows.size:
+                break
+    return rows
+
+
+def _first_step(done, size: int) -> np.ndarray:
+    """Smallest integer k >= 1 with ``done(idx, k)`` true, for each of ``size``.
+
+    ``done(idx, k)`` tests the entries ``idx`` at the steps ``k`` (arrays
+    of one length) and must be monotone in k.  k is found by doubling and
+    then bisection: O(log k) calls.  Past 2**53 the float64 grid is coarser
+    than 1 and the bisection stops once the midpoint rounds onto an end, so
+    k is then good to the float64 spacing; a k past the float64 range comes
+    back as inf.
+    """
+    lo = np.zeros(size)                         # not done at lo (k = 0 by fiat)
+    hi = np.ones(size)                          # done at hi once doubling stops
+    idx = np.arange(size)
+    idx = idx[~done(idx, hi)]
+    while idx.size:
+        lo[idx] = hi[idx]
+        hi[idx] *= 2.0
+        idx = idx[~done(idx, hi[idx])]
+    idx = np.flatnonzero(hi - lo > 1.0)
+    while idx.size:
+        mid = np.floor(lo[idx] + 0.5 * (hi[idx] - lo[idx]))
+        inner = (mid > lo[idx]) & (mid < hi[idx])
+        idx, mid = idx[inner], mid[inner]
+        below = done(idx, mid)
+        hi[idx[below]] = mid[below]
+        lo[idx[~below]] = mid[~below]
+    return hi
+
+
+def _euler_maclaurin(L: np.ndarray, a: np.ndarray, positives: np.ndarray,
+                     top: np.ndarray):
+    """(sum_{k=a}^{b} q_k, b) per row, a given per row and b where S(b) is small.
 
     The sum is the Gauss-Legendre integral of q(x) over panels of a
     geometric grid, plus (q(a) + q(b))/2 + (q'(b) - q'(a))/12.
     """
-    a = _EXACT_HEAD + 1.0
     # S(x) is dominated by exp(x * log p_max); solve for the cut generously
     x_cut = np.maximum(2.0 * a, np.log(np.maximum(positives, 2)
                                        / (0.5 * _TAIL_S_THRESHOLD))
                        / np.maximum(-L[:, 0], 1e-300))
-    b = np.full(len(L), a)
+    b = a.copy()
     grow = _powers(L, b, top).sum(axis=1) > _TAIL_S_THRESHOLD
     while grow.any():
         b[grow] = np.minimum(2.0 * b[grow], x_cut[grow])
@@ -344,18 +474,23 @@ def _euler_maclaurin(L: np.ndarray, positives: np.ndarray, top: np.ndarray):
     # panels of equal width in u = log x; a row past its last panel adds 0
     panels = np.maximum(1.0, np.ceil(np.log2(b / a) * 1.5))
     i = np.arange(panels.max())[:, None]
-    width = (np.log(b) - math.log(a)) / panels
-    lu = math.log(a) + width * np.minimum(i, panels)
+    width = (np.log(b) - np.log(a)) / panels
+    lu = np.log(a) + width * np.minimum(i, panels)
     half = np.where(i < panels, 0.5 * width, 0.0)
     xs = np.exp((lu + half)[:, None] + half[:, None] * _GL_NODES[:, None])
     xs = xs.reshape(-1, len(L))                 # (panels * nodes, rows)
     w = (half[:, None] * _GL_WEIGHTS[:, None]).reshape(xs.shape) * xs
-    step = rows_chunk(L.size, _X_BUDGET)
-    integral = sum((w[j:j + step] * _q(_powers(L, xs[j:j + step], top))).sum(axis=0)
-                   for j in range(0, len(xs), step))
+    # each row's nodes ascend, so a chunk's live columns are those of its
+    # first node: chunks of about _X_BUDGET powers grow as columns die
+    integral = np.zeros(len(L))
+    j = 0
+    while j < len(xs):
+        step = rows_chunk(len(L) * _live(top, xs[j].min()), _X_BUDGET)
+        integral += (w[j:j + step] * _q(_powers(L, xs[j:j + step], top))).sum(axis=0)
+        j += step
 
     ends = []
-    for x in (np.full(len(L), a), b):
+    for x in (a, b):
         px = _powers(L, x, top)
         log_l = np.log1p(-px).sum(axis=1)
         # q'(x) = prod(1 - p**x) * sum(p**x log p / (1 - p**x)), 0 for p = 0

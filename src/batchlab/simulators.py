@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .batch_exact import _as_p
+from .batch_exact import _as_p, _first_step
 from .distributions import OverlapDistribution
 from .errors import CensoringError
 # map_chunks is called as a module global so bench/layertrace.py can wrap it
@@ -163,33 +163,18 @@ def batch_time_quantile(dist: OverlapDistribution, n: int, u) -> np.ndarray:
     P(k0 <= k) = (1 - m_k)**n, so this is the smallest integer k >= 1 with
     (1 - m_k)**n >= u, that is m_k <= t = -expm1(log(u)/n), a form of
     1 - u**(1/n) without cancellation.  u = 0 gives 1 and n = 0 gives 0.
-    k is found by doubling and then bisection on ``dist.moments``: O(log k)
-    moment evaluations per entry, whatever n is.  Past 2**53 the float64
-    grid is coarser than 1 and the bisection stops once the midpoint rounds
-    onto an end, so k is then good to the float64 spacing; a k past the
-    float64 range comes back as inf.
+    k is found by doubling and then bisection on ``dist.moments``
+    (``batch_exact._first_step``): O(log k) moment evaluations per entry,
+    whatever n is.  Past 2**53 k is good to the float64 spacing; a k past
+    the float64 range comes back as inf.
     """
     u = np.asarray(u, dtype=np.float64)
     if n == 0:
         return np.zeros(u.shape)
     with np.errstate(divide="ignore"):
-        t = -np.expm1(np.log(u) / n)
-    lo = np.zeros(u.shape)                     # m_lo > t throughout (m_0 = 1)
-    hi = np.ones(u.shape)                      # m_hi <= t once doubling stops
-    idx = np.flatnonzero(dist.moments(hi) > t)
-    while idx.size:
-        lo[idx] = hi[idx]
-        hi[idx] *= 2.0
-        idx = idx[dist.moments(hi[idx]) > t[idx]]
-    idx = np.flatnonzero(hi - lo > 1.0)
-    while idx.size:
-        mid = np.floor(lo[idx] + 0.5 * (hi[idx] - lo[idx]))
-        inner = (mid > lo[idx]) & (mid < hi[idx])
-        idx, mid = idx[inner], mid[inner]
-        below = dist.moments(mid) <= t[idx]
-        hi[idx[below]] = mid[below]
-        lo[idx[~below]] = mid[~below]
-    return hi
+        t = -np.expm1(np.log(u.ravel()) / n)
+    k = _first_step(lambda idx, k: dist.moments(k) <= t[idx], t.size)
+    return k.reshape(u.shape)
 
 
 # ----------------------------------------------------------------------

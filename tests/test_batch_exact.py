@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from batchlab.batch_exact import (coarse_bounds, expected_time_bulk,
+from batchlab.batch_exact import (_X_BUDGET, coarse_bounds, expected_time_bulk,
                                   expected_time_fast, expected_time_series,
                                   expected_time_subsets, n_delta, sandwich,
                                   survival, survival_bulk)
 from batchlab.errors import DivergenceError, PrecisionLossError
+from batchlab.rng import rows_chunk
+from batchlab.simulators import (run_trials, simulate_batch,
+                                 simulate_batch_wordlevel, simulate_full_memory,
+                                 simulate_memoryless)
 
 overlap_vectors = st.lists(
     st.floats(min_value=0.0, max_value=0.99, allow_nan=False), min_size=0,
@@ -231,11 +235,22 @@ class TestLargeScaleEvaluators:
         assert_allclose(got, want, rtol=3e-5)
 
     def test_bulk_rows_do_not_depend_on_each_other(self, rng):
-        # rows retiring in the head next to rows that need the integral
-        P = np.concatenate([rng.random((6, 50)) * 0.9,
-                            1.0 - rng.random((6, 50)) ** 3 * 1e-2,
-                            rng.random((6, 50)) ** 0.25])
-        P[::4, 10:] = 0.0
+        # rows retiring in the head next to rows that need the integral;
+        # 168 rows of n = 1000 (zero-padded where narrower) make three
+        # sub-blocks once sorted by p_max, with rows that retire at the
+        # first steps at one end and rows saturated past the head at the other
+        n = 1000
+        narrow = np.concatenate([rng.random((6, 50)) * 0.9,
+                                 1.0 - rng.random((6, 50)) ** 3 * 1e-2,
+                                 rng.random((6, 50)) ** 0.25])
+        narrow[::4, 10:] = 0.0
+        wide = np.concatenate([rng.random((50, n)) * 1e-3,
+                               rng.random((50, n)) * 0.9,
+                               1.0 - rng.random((25, n)) ** 3 * 1e-2,
+                               rng.random((25, n)) ** 0.25])
+        wide[::7, 10:] = 0.0
+        P = np.concatenate([np.pad(narrow, ((0, 0), (0, n - 50))), wide])
+        assert len(P) > 2 * rows_chunk(n, _X_BUDGET)
         got = expected_time_bulk(P)
         for row, t in zip(P, got):
             assert_allclose(t, expected_time_fast(row).t, rtol=1e-12)
@@ -244,3 +259,72 @@ class TestLargeScaleEvaluators:
         assert expected_time_bulk(np.empty((0, 3))).size == 0
         with pytest.raises(DivergenceError):
             expected_time_bulk(np.asarray([[0.5, 1.0]]))
+
+    def test_saturated_past_the_head(self, rng):
+        # S(256) = sum p**256 >= 40: q_k rounds to 1.0 beyond the exact head,
+        # so these rows count their saturated steps and start the integral
+        # after them instead of at step 257
+        P = np.zeros((3, 2000))
+        P[0, :500] = rng.uniform(0.99, 0.999, 500)
+        P[1] = 0.995
+        P[2, :300] = rng.uniform(0.995, 0.998, 300)
+        P[2, 300:500] = rng.random(200) * 0.5
+        assert np.all((P ** 256).sum(axis=1) >= 40.0)
+        got = expected_time_bulk(P)
+        for row, t in zip(P, got):
+            want = expected_time_series(row, eps=1e-9).t
+            assert abs(t - want) <= 2e-5 * want
+            assert_allclose(expected_time_fast(row).t, t, rtol=1e-12)
+
+
+def _entry_points():
+    """(id, call, rejects_one) for every function that takes an overlap vector."""
+    rng = np.random.default_rng(0)
+    matrix = lambda p: np.vstack([p, np.full(len(p), 0.25)])
+    calls = [
+        ("survival", lambda p: survival(p, 1), False),
+        ("survival_bulk", lambda p: survival_bulk(p, [1.0, 2.0]), False),
+        ("sandwich", lambda p: sandwich(p, 1), False),
+        ("coarse_bounds", coarse_bounds, True),
+        ("expected_time_series", expected_time_series, True),
+        ("expected_time_subsets", expected_time_subsets, True),
+        ("n_delta", lambda p: n_delta(p, 0.1), True),
+        ("expected_time_fast", expected_time_fast, True),
+        ("expected_time_bulk", lambda p: expected_time_bulk(matrix(p)), True),
+        ("simulate_batch", lambda p: simulate_batch(p, rng), True),
+        ("simulate_batch_wordlevel", lambda p: simulate_batch_wordlevel(p, rng), True),
+        ("simulate_memoryless",
+         lambda p: simulate_memoryless(p, rng, horizon=1000), False),
+        ("simulate_full_memory", lambda p: simulate_full_memory(p, rng), True),
+    ]
+    calls += [(f"run_trials[{alg}]",
+               lambda p, alg=alg: run_trials(alg, None, 0, 10, 0, fixed_p=p),
+               alg != "memoryless")
+              for alg in ("batch", "memoryless", "full_memory")]
+    return calls
+
+
+ENTRY_POINTS = _entry_points()
+
+
+class TestBadOverlaps:
+    @pytest.mark.parametrize("p", [[math.nan, 0.5], [0.5, math.nan], [-0.5, 0.5],
+                                   [0.5, 1.5], [math.inf], [-math.inf, 0.5]],
+                             ids=["nan", "nan-last", "negative", "above-one",
+                                  "inf", "minus-inf"])
+    @pytest.mark.parametrize("call", [c for _, c, _ in ENTRY_POINTS],
+                             ids=[name for name, _, _ in ENTRY_POINTS])
+    def test_outside_unit_interval_raises_value_error(self, call, p):
+        with pytest.raises(ValueError) as info:
+            call(np.asarray(p))
+        assert not isinstance(info.value, DivergenceError)
+
+    @pytest.mark.parametrize("call,rejects_one", [(c, r) for _, c, r in ENTRY_POINTS],
+                             ids=[name for name, _, _ in ENTRY_POINTS])
+    def test_exactly_one(self, call, rejects_one):
+        if rejects_one:
+            with pytest.raises(DivergenceError):
+                call(np.asarray([0.5, 1.0]))
+        else:
+            with np.errstate(divide="ignore"):     # log1p(-1) in survival
+                call(np.asarray([0.5, 1.0]))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from batchlab.distributions import power_tail, scaled, uniform
@@ -122,6 +124,29 @@ class TestZetaValues:
             tight = zeta(dist, s, eps=1e-10)
             assert abs(loose.value - tight.value) <= loose.error_bound
             assert tight.k_used > loose.k_used
+
+
+ZETA_LAWS = st.one_of(
+    st.floats(min_value=-0.9, max_value=3.0).map(power_tail),
+    st.sampled_from([uniform(), scaled(0.5, uniform()),
+                     scaled(0.9, power_tail(1.0))]))
+
+
+class TestZetaBoundProperty:
+    @given(dist=ZETA_LAWS, p=st.floats(min_value=1.5, max_value=6.0),
+           eps=st.floats(min_value=1e-13, max_value=1e-6),
+           shrink=st.floats(min_value=2.0, max_value=100.0))
+    @settings(max_examples=40, deadline=None)
+    def test_value_within_bound_that_shrinks_with_eps(self, dist, p, eps, shrink):
+        # s * alpha = p for the power tails; the scaled laws take s = p.  A
+        # tighter eps sums at least as far, so the bound cannot grow; it
+        # stays the same where the looser run's K already met the tighter eps
+        s = p / dist.tail_parameters()[0] if dist.has_power_tail else p
+        loose = zeta(dist, s, eps=eps)
+        tight = zeta(dist, s, eps=eps / shrink)
+        assert abs(loose.value - tight.value) <= loose.error_bound
+        assert tight.k_used >= loose.k_used
+        assert 0.0 < tight.error_bound <= loose.error_bound
 
 
 def mpmath_moment(mp, beta, x):

@@ -14,7 +14,7 @@ from scipy import stats
 from batchlab.batch_exact import expected_time_series, survival
 from batchlab.distributions import power_tail, uniform
 from batchlab.errors import CensoringError, DivergenceError
-from batchlab.rng import rows_chunk
+from batchlab.rng import CHUNK_SIZE, rows_chunk
 from batchlab.simulators import (batch_time_quantile, batch_times,
                                  empirical_n_delta, full_memory_times,
                                  memoryless_times, run_trials, simulate_batch,
@@ -306,10 +306,14 @@ class TestFullMemory:
 
 class TestRunTrials:
     def test_reproducible_across_threads(self, master_seed):
+        # fresh p at n = 30: batch draws chunks of CHUNK_SIZE uniforms, the
+        # other learners chunks of rows_chunk(30) rows; each gets three
+        trials = 140000
+        assert trials > 2 * max(CHUNK_SIZE, rows_chunk(30))
         u = uniform()
         for alg in ("batch", "memoryless", "full_memory"):
-            a = run_trials(alg, u, 30, 50000, master_seed, threads=1).times
-            b = run_trials(alg, u, 30, 50000, master_seed, threads=4).times
+            a = run_trials(alg, u, 30, trials, master_seed, threads=1).times
+            b = run_trials(alg, u, 30, trials, master_seed, threads=4).times
             assert np.array_equal(a, b)
 
     def test_fresh_batch_chunks_reproducible_across_threads(self, master_seed):
