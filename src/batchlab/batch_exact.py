@@ -156,7 +156,8 @@ def survival_bulk(p, ks) -> np.ndarray:
     logp = _log_desc(_as_p(p, forbid_one=False))
     if logp.size == 0:
         return np.zeros_like(ks)
-    return _q(_powers(logp, ks, logp))
+    with np.errstate(divide="ignore"):          # log1p(-1) at an overlap of 1
+        return _q(_powers(logp, ks, logp))
 
 
 def sandwich(p, k: int) -> tuple[float, float]:
@@ -193,12 +194,13 @@ def coarse_bounds(p) -> tuple[float, float]:
 # ----------------------------------------------------------------------
 
 
-def expected_time_series(p, eps: float = 1e-12, k_cap: int = _K_CAP) -> TimeEstimate:
+def expected_time_series(p, eps: float = 1e-12) -> TimeEstimate:
     """T = sum_{k>=1} q_k, truncated when n * p_max**(K+1) / (1-p_max) < eps.
 
-    Returns (T, T + 1) for n >= 1 and (0, 0) for the empty vector.  Raises
-    PrecisionLossError if the geometric bound cannot reach eps within k_cap
-    steps (use :func:`expected_time_fast` for such scales).
+    K is a whole number of blocks of steps, the first whose bound meets
+    eps.  Returns (T, T + 1) for n >= 1 and (0, 0) for the empty vector.
+    Raises PrecisionLossError, before summing, if the bound cannot reach eps
+    within 2**25 steps (use :func:`expected_time_fast` for such scales).
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -211,19 +213,18 @@ def expected_time_series(p, eps: float = 1e-12, k_cap: int = _K_CAP) -> TimeEsti
         return TimeEstimate(0.0, 1.0)
     p_max = float(arr.max())
     block = max(64, min(4096, int(4e6) // n))
+    tail = lambda k: n * np.exp((k + 1.0) * logp[0]) / (1.0 - p_max)
+    blocks = int(_first_step(lambda idx, m: tail(m * block) < eps, 1)[0])
+    if (blocks - 1) * block >= _K_CAP:
+        k = -(-_K_CAP // block) * block
+        raise PrecisionLossError(
+            f"series tail bound {float(tail(k)):g} still above eps = {eps:g} "
+            f"after {k} steps (p_max = {p_max}); use expected_time_fast")
     total = 0.0
-    k = 0
-    while True:
+    for k in range(0, blocks * block, block):
         ks = np.arange(k + 1, k + block + 1, dtype=np.float64)
         total += float(_q(_powers(logp, ks, logp)).sum())
-        k += block
-        tail = n * float(_powers(logp[:1], k + 1.0, logp)[0]) / (1.0 - p_max)
-        if tail < eps:
-            return TimeEstimate(total, total + 1.0)
-        if k >= k_cap:
-            raise PrecisionLossError(
-                f"series tail bound {tail:g} still above eps = {eps:g} after "
-                f"{k} steps (p_max = {p_max}); use expected_time_fast")
+    return TimeEstimate(total, total + 1.0)
 
 
 def expected_time_subsets(p) -> float:
@@ -268,24 +269,10 @@ def n_delta(p, delta: float) -> int:
     """Smallest k >= 1 with survival(p, k) <= delta."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    arr = _as_p(p)
-    if arr.size == 0 or arr.max() == 0.0:
+    logp = _log_desc(_as_p(p))
+    if logp.size == 0:
         return 1
-    if survival(arr, 1) <= delta:
-        return 1
-    lo = 1
-    hi = 2
-    while survival(arr, hi) > delta:
-        lo = hi
-        hi *= 2
-    # invariant: survival(lo) > delta >= survival(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if survival(arr, mid) > delta:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return int(_first_step(lambda idx, k: _q(_powers(logp, k, logp)) <= delta, 1)[0])
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +496,8 @@ def _closed_form_tail(logp: np.ndarray, k: np.ndarray, top: np.ndarray) -> np.nd
     first = np.zeros(len(logp))
     for r in range(1, _TAIL_ORDERS + 1):
         num = _powers(logp, r * (k + 1.0), top)
+        if r == 1:
+            s_next = num.sum(axis=1)
         den = 1.0 - _powers(logp[:, :num.shape[1]], float(r), top)
         first += (num / den).sum(axis=1) / r
-    s_next = _powers(logp, k + 1.0, top).sum(axis=1)
     return first * (1.0 - 0.25 * s_next)

@@ -10,9 +10,7 @@ win.  Exit codes: 0 success, 1 any other error (with a traceback),
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
+import math
 import sys
 import time
 from typing import Optional
@@ -24,7 +22,7 @@ from . import harness, moment_zeta, simulators
 from .batch_exact import expected_time_series, n_delta as exact_n_delta
 from .errors import (CensoringError, ConfigError, DivergenceError,
                      PrecisionLossError)
-from .harness import RunConfig
+from .harness import RunConfig, json_text, rows_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,20 +133,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_zeta(cfg: RunConfig) -> str:
     z = moment_zeta.zeta(cfg.distribution(), cfg.s, eps=cfg.eps)
-    return _json({"dist": cfg.dist, "s": z.s, "value": z.value,
-                  "k_used": z.k_used, "error_bound": z.error_bound,
-                  "eps": cfg.eps})
+    return json_text({"dist": cfg.dist, "s": z.s, "value": z.value,
+                      "k_used": z.k_used, "error_bound": z.error_bound,
+                      "eps": cfg.eps})
 
 
 def _cmd_exact_time(cfg: RunConfig) -> str:
     est = expected_time_series(np.asarray(cfg.p), eps=cfg.eps)
-    return _json({"p": list(cfg.p), "eps": cfg.eps, "t": est.t,
-                  "steps_expectation": est.steps_expectation})
+    return json_text({"p": list(cfg.p), "eps": cfg.eps, "t": est.t,
+                      "steps_expectation": est.steps_expectation})
 
 
 def _cmd_ndelta(cfg: RunConfig) -> str:
     value = exact_n_delta(np.asarray(cfg.p), cfg.delta)
-    return _json({"p": list(cfg.p), "delta": cfg.delta, "n_delta": value})
+    return json_text({"p": list(cfg.p), "delta": cfg.delta, "n_delta": value})
 
 
 def _cmd_simulate(cfg: RunConfig) -> str:
@@ -157,15 +155,18 @@ def _cmd_simulate(cfg: RunConfig) -> str:
         cfg.algorithm, cfg.distribution(), cfg.n or 0, cfg.trials, cfg.seed,
         fixed_p=fixed, horizon=cfg.horizon, threads=cfg.threads)
     if cfg.dump:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["trial", "time"])
-        for i, t in enumerate(batch.times):
-            w.writerow([i, int(t) if np.isfinite(t) else "inf"])
-        return buf.getvalue()
+        rows = [{"trial": i, "time": int(t) if math.isfinite(t) else "inf"}
+                for i, t in enumerate(batch.times.tolist())]
+        return rows_csv(rows, ["trial", "time"])
     summary = batch.summary()
     summary["horizon"] = cfg.horizon
-    return _json(summary)
+    return json_text(summary)
+
+
+def _table(cfg: RunConfig, rows: list, columns: list) -> str:
+    if cfg.format == "json":
+        return json_text({"rows": rows})
+    return rows_csv(rows, columns)
 
 
 def _cmd_ensemble(cfg: RunConfig) -> str:
@@ -177,10 +178,8 @@ def _cmd_ensemble(cfg: RunConfig) -> str:
     rows = [{"dist": cfg.dist, "n": est.n, "method": est.method,
              "value": est.value, "error": est.error_bound,
              "runtime_seconds": time.perf_counter() - t0}]
-    if (cfg.format or "csv") == "json":
-        return _json({"rows": rows})
-    return _rows_csv(rows, ["dist", "n", "method", "value", "error",
-                            "runtime_seconds"])
+    return _table(cfg, rows, ["dist", "n", "method", "value", "error",
+                              "runtime_seconds"])
 
 
 def _cmd_extremes(cfg: RunConfig) -> str:
@@ -194,21 +193,17 @@ def _cmd_extremes(cfg: RunConfig) -> str:
              "ks_distance": rep.ks_distance, "ks_n": rep.ks_n,
              "runtime_seconds": elapsed / len(cfg.n_sweep)}
             for i, n in enumerate(rep.n_values)]
-    if (cfg.format or "csv") == "json":
-        return _json({"rows": rows})
-    return _rows_csv(rows, ["dist", "n", "method", "value", "error",
-                            "fitted_C", "fitted_slope", "ks_distance",
-                            "ks_n", "runtime_seconds"])
+    return _table(cfg, rows, ["dist", "n", "method", "value", "error",
+                              "fitted_C", "fitted_slope", "ks_distance",
+                              "ks_n", "runtime_seconds"])
 
 
 def _cmd_scaling(cfg: RunConfig) -> str:
-    report = harness.run_scaling(cfg)
-    return harness.emit(report, cfg.format or "json")
+    return harness.emit(harness.run_scaling(cfg), cfg.format)
 
 
 def _cmd_compare(cfg: RunConfig) -> str:
-    report = harness.compare_algorithms(cfg)
-    return harness.emit(report, cfg.format or "json")
+    return harness.emit(harness.compare_algorithms(cfg), cfg.format)
 
 
 _HANDLERS = {
@@ -223,24 +218,12 @@ _HANDLERS = {
 }
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _rows_csv(rows: list, columns: list) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(columns)
-    for row in rows:
-        w.writerow(["" if row[c] is None else row[c] for c in columns])
-    return buf.getvalue()
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args).validate()
+        cfg.format = cfg.format or harness.FORMATS[cfg.writer][0]
         text = _HANDLERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

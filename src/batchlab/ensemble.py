@@ -45,6 +45,7 @@ from .simulators import (_map_overlap_rows, _map_rows, _median_ci_halfwidth,
                          run_trials)
 
 _CONDITION_LIMIT = 1e6      # ulp-loss refusal threshold for the zeta sum
+_ZETA_EPS = 1e-11           # truncation of each zeta value in the zeta sum
 
 METHODS = ("zeta_sum", "moment_series", "integral_asymptotic", "monte_carlo")
 
@@ -82,8 +83,7 @@ class Alpha1Decomposition(NamedTuple):
 # ----------------------------------------------------------------------
 
 
-def expected_time_zeta_sum(dist: OverlapDistribution, n: int,
-                           zeta_eps: float = 1e-11) -> ZetaSumTime:
+def expected_time_zeta_sum(dist: OverlapDistribution, n: int) -> ZetaSumTime:
     """T = sum_{k=1}^n C(n,k) (-1)**(k-1) zeta_F(k), exactly-rounded fsum.
 
     Requires alpha > 1 so that zeta_F(1) exists, and n <= 30: the sum loses
@@ -97,7 +97,7 @@ def expected_time_zeta_sum(dist: OverlapDistribution, n: int,
                          "use expected_time_moment_series")
     terms = []
     for k in range(1, n + 1):
-        zk = zeta(dist, float(k), eps=zeta_eps).value
+        zk = zeta(dist, float(k), eps=_ZETA_EPS).value
         terms.append(math.comb(n, k) * (zk if k % 2 == 1 else -zk))
     value = math.fsum(terms)
     gross = math.fsum(abs(t) for t in terms)

@@ -8,9 +8,11 @@ a bootstrap/jackknife confidence interval, and packages a
 :class:`ScalingReport`.  ``compare_algorithms`` tabulates empirical
 N_delta for the three learners under shared-master-seed discipline.
 
-Serialization: :func:`emit` writes CSV or JSON with losslessly rendered
-floats (shortest round-trip form); :func:`parse_report` inverts it.  All
-result fields are byte-reproducible from (config, seed); wall-clock
+Serialization: :func:`json_text` and :func:`rows_csv` write every report and
+every CLI command's output, with losslessly rendered floats (shortest
+round-trip form); :data:`FORMATS` lists which of the two each command
+writes.  :func:`emit` writes a report and :func:`parse_report` inverts it.
+All result fields are byte-reproducible from (config, seed); wall-clock
 ``runtime_seconds`` is the one declared-volatile field.
 """
 
@@ -34,15 +36,19 @@ from .rng import STREAM_SCALING, derive_rng
 from .simulators import (ALGORITHMS, DEFAULT_HORIZON, _median_ci_halfwidth,
                          empirical_n_delta, run_trials)
 
-SCHEMA_SCALING = "batchlab/scaling-report/v1"
-SCHEMA_COMPARISON = "batchlab/comparison-table/v1"
-
 _BOOTSTRAP_RESAMPLES = 200
 
 
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
+
+# the formats each command writes, its default first; simulate --dump
+# writes per-trial times instead of a summary
+FORMATS = {"zeta": ("json",), "exact-time": ("json",), "ndelta": ("json",),
+           "simulate": ("json",), "simulate --dump": ("csv",),
+           "ensemble": ("csv", "json"), "extremes": ("csv", "json"),
+           "scaling": ("json", "csv"), "compare": ("json", "csv")}
 
 _INT_FIELDS = {"n", "trials", "seed", "threads", "horizon"}
 _FLOAT_FIELDS = {"delta", "eps", "s"}
@@ -54,8 +60,7 @@ class RunConfig:
     """One experiment configuration; validates before execution.
 
     Field coverage varies by command; ``validate`` enforces what the chosen
-    command needs.  Round-trips losslessly through the flat key=value file
-    format (:meth:`to_text` / :meth:`from_text`).
+    command needs.  :meth:`from_text` reads the flat key=value file format.
     """
 
     command: str = ""
@@ -81,6 +86,12 @@ class RunConfig:
             return parse_dist(self.dist)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+    @property
+    def writer(self) -> str:
+        """This command's key in :data:`FORMATS`."""
+        dump = self.command == "simulate" and self.dump
+        return "simulate --dump" if dump else self.command
 
     def validate(self) -> "RunConfig":
         if self.format not in (None, "csv", "json"):
@@ -109,11 +120,10 @@ class RunConfig:
             raise ConfigError(f"{self.command} requires --{flag}")
         if self.command == "simulate" and self.n is None and not self.p:
             raise ConfigError("simulate requires --n (or --fixed-p)")
-        written = {"zeta": "json", "exact-time": "json", "ndelta": "json",
-                   "simulate": "csv" if self.dump else "json"}.get(self.command)
-        if written and self.format not in (None, written):
-            raise ConfigError(f"format must be {written} for {self.command}"
-                              f"{' --dump' if self.dump else ''}, got {self.format}")
+        written = FORMATS.get(self.writer, ("csv", "json"))
+        if self.format not in (None, *written):
+            raise ConfigError(f"format must be {' or '.join(written)} for "
+                              f"{self.writer}, got {self.format}")
         if self.command == "simulate" and self.algorithm not in (None, *ALGORITHMS):
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, "
                               f"got {self.algorithm!r}")
@@ -143,22 +153,7 @@ class RunConfig:
             raise ConfigError("compare needs --n or --n-sweep")
         return self
 
-    # -- flat key=value serialization --------------------------------
-
-    def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if v is None or v == () or v == "":
-                continue
-            if isinstance(v, tuple):
-                v = ",".join(_fmt(x) for x in v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = _fmt(v)
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
+    # -- flat key=value file format ---------------------------------
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -201,13 +196,6 @@ def _coerce(key: str, value: str):
     except ValueError:
         raise ConfigError(f"bad value {value!r} for config key {key!r}") from None
     return value
-
-
-def _fmt(x) -> str:
-    """Lossless short float rendering (round-trips via float())."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +263,24 @@ class ScalingReport:
     discarded: tuple
     trials: int
     seed: int
+
+    SCHEMA = "batchlab/scaling-report/v1"
+    CSV_COLUMNS = ("schema", "dist", "method", "trials", "seed",
+                   "fitted_exponent", "ci_lo", "ci_hi", "discarded",
+                   "n", "value", "error", "runtime_seconds")
+
+    def csv_rows(self) -> list:
+        # report-level scalars repeat on every row so the file alone rebuilds
+        # the report
+        common = {"schema": self.SCHEMA, "dist": self.dist, "method": self.method,
+                  "trials": self.trials, "seed": self.seed,
+                  "fitted_exponent": self.fitted_exponent,
+                  "ci_lo": self.exponent_ci[0], "ci_hi": self.exponent_ci[1],
+                  "discarded": ";".join(map(str, self.discarded))}
+        return [{**common, "n": n, "value": value, "error": error,
+                 "runtime_seconds": seconds}
+                for n, (value, error), seconds
+                in zip(self.n_values, self.estimates, self.runtime_seconds)]
 
     def result_fields(self) -> dict:
         """Everything except wall-clock runtimes (the byte-stable content)."""
@@ -390,6 +396,17 @@ class ComparisonTable:
     n_delta: dict             # algorithm -> tuple of N_delta per n
     violations: tuple
 
+    SCHEMA = "batchlab/comparison-table/v1"
+    CSV_COLUMNS = ("schema", "dist", "delta", "trials", "seed", "n",
+                   "algorithm", "n_delta", "violations")
+
+    def csv_rows(self) -> list:
+        common = {"schema": self.SCHEMA, "dist": self.dist, "delta": self.delta,
+                  "trials": self.trials, "seed": self.seed,
+                  "violations": ";".join(self.violations)}
+        return [{**common, "n": n, "algorithm": alg, "n_delta": self.n_delta[alg][i]}
+                for i, n in enumerate(self.n_values) for alg in self.algorithms]
+
     def result_fields(self) -> dict:
         return _plain_dict(self)
 
@@ -443,21 +460,35 @@ def _plain(v):
     return v
 
 
+def json_text(payload: dict) -> str:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def rows_csv(rows: list, columns: Sequence[str]) -> str:
+    """A header of ``columns``, then one line per row dict; None is empty."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows(["" if row[c] is None else row[c] for c in columns] for row in rows)
+    return buf.getvalue()
+
+
+_REPORTS = {cls.SCHEMA: cls for cls in (ScalingReport, ComparisonTable)}
+
+
 def emit(report, fmt: str, path: Optional[str] = None) -> str:
     """Serialize a report as csv or json; write to path when given.
 
-    Floats are rendered in shortest exact round-trip form.  JSON carries the
-    schema tag, config fields, and seed so a run can be reproduced from its
-    own output.
+    JSON carries the schema tag, config fields, and seed so a run can be
+    reproduced from its own output.
     """
-    if isinstance(report, ScalingReport):
-        text = _emit_scaling_csv(report) if fmt == "csv" else _emit_json(
-            SCHEMA_SCALING, _plain_dict(report))
-    elif isinstance(report, ComparisonTable):
-        text = _emit_comparison_csv(report) if fmt == "csv" else _emit_json(
-            SCHEMA_COMPARISON, _plain_dict(report))
-    else:
+    if not isinstance(report, (ScalingReport, ComparisonTable)):
         raise TypeError(f"emit does not know how to serialize {type(report)}")
+    if fmt == "csv":
+        text = rows_csv(report.csv_rows(), report.CSV_COLUMNS)
+    else:
+        text = json_text({"schema": report.SCHEMA, **_plain_dict(report)})
     if path is not None:
         try:
             with open(path, "w") as fh:
@@ -467,79 +498,32 @@ def emit(report, fmt: str, path: Optional[str] = None) -> str:
     return text
 
 
-def _emit_json(schema: str, payload: dict) -> str:
-    return json.dumps({"schema": schema, **payload}, indent=2,
-                      sort_keys=True) + "\n"
-
-
-_SCALING_COLUMNS = ("schema", "dist", "method", "trials", "seed",
-                    "fitted_exponent", "ci_lo", "ci_hi", "discarded",
-                    "n", "value", "error", "runtime_seconds")
-
-
-def _emit_scaling_csv(report: ScalingReport) -> str:
-    # report-level scalars repeat on every row so the file alone rebuilds
-    # the report
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_SCALING_COLUMNS)
-    for i, n in enumerate(report.n_values):
-        value, error = report.estimates[i]
-        w.writerow([SCHEMA_SCALING, report.dist, report.method, report.trials,
-                    report.seed, _fmt(report.fitted_exponent),
-                    _fmt(report.exponent_ci[0]), _fmt(report.exponent_ci[1]),
-                    ";".join(_fmt(d) for d in report.discarded),
-                    n, _fmt(value), "" if error is None else _fmt(error),
-                    _fmt(report.runtime_seconds[i])])
-    return buf.getvalue()
-
-
-def _emit_comparison_csv(report: ComparisonTable) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["schema", "dist", "delta", "trials", "seed", "n",
-                "algorithm", "n_delta", "violations"])
-    viol = ";".join(report.violations)
-    for i, n in enumerate(report.n_values):
-        for alg in report.algorithms:
-            w.writerow([SCHEMA_COMPARISON, report.dist, _fmt(report.delta),
-                        report.trials, report.seed, n, alg,
-                        report.n_delta[alg][i], viol])
-    return buf.getvalue()
+def _tuples(v):
+    """JSON lists back to tuples, at any depth."""
+    if isinstance(v, dict):
+        return {k: _tuples(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return tuple(_tuples(x) for x in v)
+    return v
 
 
 def parse_report(text: str):
     """Inverse of :func:`emit` for both formats and both report types."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         payload = json.loads(text)
         schema = payload.pop("schema", None)
-        if schema == SCHEMA_SCALING:
-            return ScalingReport(
-                dist=payload["dist"], method=payload["method"],
-                n_values=tuple(payload["n_values"]),
-                estimates=tuple((v, e) for v, e in payload["estimates"]),
-                fitted_exponent=payload["fitted_exponent"],
-                exponent_ci=tuple(payload["exponent_ci"]),
-                runtime_seconds=tuple(payload["runtime_seconds"]),
-                discarded=tuple(payload["discarded"]),
-                trials=payload["trials"], seed=payload["seed"])
-        if schema == SCHEMA_COMPARISON:
-            return ComparisonTable(
-                dist=payload["dist"], delta=payload["delta"],
-                trials=payload["trials"], seed=payload["seed"],
-                n_values=tuple(payload["n_values"]),
-                algorithms=tuple(payload["algorithms"]),
-                n_delta={a: tuple(v) for a, v in payload["n_delta"].items()},
-                violations=tuple(payload["violations"]))
-        raise ValueError(f"unknown schema {schema!r}")
+        if schema not in _REPORTS:
+            raise ValueError(f"unknown schema {schema!r}")
+        cls = _REPORTS[schema]
+        return cls(**{f.name: _tuples(payload[f.name])
+                      for f in dataclasses.fields(cls)})
     reader = csv.reader(io.StringIO(text))
     table_rows = [r for r in reader if r]
     header, data = table_rows[0], table_rows[1:]
     rows = [dict(zip(header, r)) for r in data]
     if not rows:
         raise ValueError("empty csv report")
-    if rows[0]["schema"] == SCHEMA_SCALING:
+    if rows[0]["schema"] == ScalingReport.SCHEMA:
         first = rows[0]
         return ScalingReport(
             dist=first["dist"], method=first["method"],
@@ -552,7 +536,7 @@ def parse_report(text: str):
             runtime_seconds=tuple(float(r["runtime_seconds"]) for r in rows),
             discarded=tuple(float(d) for d in first["discarded"].split(";") if d),
             trials=int(first["trials"]), seed=int(first["seed"]))
-    if rows[0]["schema"] == SCHEMA_COMPARISON:
+    if rows[0]["schema"] == ComparisonTable.SCHEMA:
         first = rows[0]
         n_values = tuple(dict.fromkeys(int(r["n"]) for r in rows))
         algorithms = tuple(dict.fromkeys(r["algorithm"] for r in rows))

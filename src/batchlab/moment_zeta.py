@@ -41,6 +41,7 @@ _SUM_CHUNK = 1 << 20
 # covers pairwise summation of up to 2**26 positive terms, the bracket
 # arithmetic and the n*m cancellation of the alpha = 1 term (< 2e-14 of |T2|)
 _ROUNDING_RTOL = 1e-13
+_VERIFY_EPS = 1e-9          # truncation of the zeta value a Monte Carlo check quotes
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,6 @@ def verify_zeta_expectation(
     trials: int,
     seed: int,
     threads: int = 1,
-    eps: float = 1e-9,
 ) -> ZetaExpectationCheck:
     """Estimate E[y/(1-y)], y = x_1*...*x_n, and compare with zeta_F(n).
 
@@ -223,7 +223,7 @@ def verify_zeta_expectation(
     trimmed = float(np.minimum(z, cut).mean())
     return ZetaExpectationCheck(
         mc_estimate=mean,
-        zeta_value=zeta(dist, float(n), eps=eps).value,
+        zeta_value=zeta(dist, float(n), eps=_VERIFY_EPS).value,
         stderr=stderr,
         variance_finite=variance_finite,
         trimmed_mean=trimmed,

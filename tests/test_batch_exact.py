@@ -1,6 +1,8 @@
 """Exact per-vector learning-time formulas and their cross-checks."""
 
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -105,7 +107,24 @@ class TestExpectedTimeSeries:
 
     def test_precision_cap_signals(self):
         with pytest.raises(PrecisionLossError):
-            expected_time_series([1.0 - 1e-12], eps=1e-10, k_cap=10**4)
+            expected_time_series([1.0 - 1e-12], eps=1e-10)
+
+    def test_refuses_before_summing(self):
+        # the bound needs K of about 5.8e10 > 2**25 steps, so the refusal
+        # must come before any summing (2**25 steps of 1000 powers)
+        out = {}
+
+        def run():
+            try:
+                expected_time_series(np.full(1000, 1.0 - 1e-9), eps=1e-13)
+            except PrecisionLossError as exc:
+                out["error"] = exc
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive(), "expected_time_series did not return"
+        assert isinstance(out.get("error"), PrecisionLossError)
 
 
 class TestExpectedTimeSubsets:
@@ -326,5 +345,6 @@ class TestBadOverlaps:
             with pytest.raises(DivergenceError):
                 call(np.asarray([0.5, 1.0]))
         else:
-            with np.errstate(divide="ignore"):     # log1p(-1) in survival
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 call(np.asarray([0.5, 1.0]))

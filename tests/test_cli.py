@@ -179,6 +179,22 @@ class TestScalingAndCompare:
         rep = parse_report(out)
         assert rep.violations == ()
 
+    @pytest.mark.parametrize("args, fmt", [
+        (["scaling", "--dist", "powertail:beta=1", "--n-sweep", "10,30,100,1000"],
+         "json"),
+        (["compare", "--n", "5", "--trials", "50"], "json"),
+        (["ensemble", "--dist", "powertail:beta=1", "--n", "10"], "csv"),
+        (["extremes", "--n-sweep", "10,100", "--trials", "50", "--dist",
+          "powertail:beta=1"], "csv"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_default_format(self, capsys, args, fmt):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        if fmt == "json":
+            assert isinstance(json.loads(out), dict)
+        else:
+            assert out.startswith("dist,n,method,value,error,")
+
     def test_thread_determinism_of_emitted_results(self, capsys, tmp_path):
         base = ["scaling", "--dist", "uniform", "--method", "mc_median",
                 "--n-sweep", "100,316,1000,3162,10000", "--trials", "300",

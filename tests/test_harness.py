@@ -16,13 +16,23 @@ from tests.conftest import MASTER_SEED
 
 
 class TestRunConfig:
-    def test_text_round_trip(self):
-        cfg = RunConfig(command="scaling", dist="powertail:beta=1",
-                        n_sweep=(100, 1000, 10000, 100000), trials=500,
-                        delta=0.25, eps=1e-7, seed=123, threads=2,
-                        method="mc_median", format="csv", p=(0.5, 0.25))
-        again = RunConfig.from_text(cfg.to_text())
-        assert again == cfg
+    def test_from_text_sets_every_field_type(self):
+        cfg = RunConfig.from_text(
+            "command=scaling\ndist=powertail:beta=1\nn=7\n"
+            "n_sweep=100,1000,10000,100000\ntrials=500\ndelta=0.25\n"
+            "eps=1e-7\ns=2.5\np=0.5,0.25\nseed=123\nthreads=2\n"
+            "method=mc_median\nalgorithm=batch\nhorizon=50\nout=r.csv\n"
+            "format=csv\ndump=true\n")
+        want = RunConfig(command="scaling", dist="powertail:beta=1", n=7,
+                         n_sweep=(100, 1000, 10000, 100000), trials=500,
+                         delta=0.25, eps=1e-7, s=2.5, p=(0.5, 0.25), seed=123,
+                         threads=2, method="mc_median", algorithm="batch",
+                         horizon=50, out="r.csv", format="csv", dump=True)
+        assert cfg == want
+        types = lambda c: [(f.name, type(getattr(c, f.name)))
+                           for f in dataclasses.fields(c)]
+        assert types(cfg) == types(want)
+        assert [type(v) for v in cfg.n_sweep + cfg.p] == [int] * 4 + [float] * 2
 
     def test_file_values_overridden_by_flags(self):
         base = RunConfig.from_text("dist=uniform\ntrials=50\nseed=7\n")
