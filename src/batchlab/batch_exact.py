@@ -414,25 +414,26 @@ def _first_step(done, size: int) -> np.ndarray:
     """Smallest integer k >= 1 with ``done(idx, k)`` true, for each of ``size``.
 
     ``done(idx, k)`` tests the entries ``idx`` at the steps ``k`` (arrays
-    of one length) and must be monotone in k.  k is found by doubling and
-    then bisection: O(log k) calls.  Past 2**53 the float64 grid is coarser
-    than 1 and the bisection stops once the midpoint rounds onto an end, so
-    k is then good to the float64 spacing; a k past the float64 range comes
-    back as inf.
+    of one length) and must be monotone in k; it is never called with
+    empty arrays.  k is found by doubling and then bisection: O(log k)
+    calls.  Past 2**53 the float64 grid is coarser than 1 and the bisection
+    stops once the midpoint rounds onto an end, so k is then good to the
+    float64 spacing; a k past the float64 range comes back as inf.
     """
     lo = np.zeros(size)                         # not done at lo (k = 0 by fiat)
     hi = np.ones(size)                          # done at hi once doubling stops
     idx = np.arange(size)
-    idx = idx[~done(idx, hi)]
     while idx.size:
+        idx = idx[~done(idx, hi[idx])]
         lo[idx] = hi[idx]
         hi[idx] *= 2.0
-        idx = idx[~done(idx, hi[idx])]
     idx = np.flatnonzero(hi - lo > 1.0)
     while idx.size:
         mid = np.floor(lo[idx] + 0.5 * (hi[idx] - lo[idx]))
         inner = (mid > lo[idx]) & (mid < hi[idx])
         idx, mid = idx[inner], mid[inner]
+        if not idx.size:
+            break
         below = done(idx, mid)
         hi[idx[below]] = mid[below]
         lo[idx[~below]] = mid[~below]

@@ -133,9 +133,11 @@ class OverlapDistribution:
         if self.family == UNIFORM:
             return rng.random(n)
         if self.family == POWERTAIL:
-            # inversion: x = 1 - (1-u)^(1/(1+beta))
+            # inversion: x = 1 - (1-u)^(1/(1+beta)); ``**`` with a scalar
+            # exponent takes numpy's fast paths (sqrt at beta = 1, square at
+            # beta = -0.5) where np.power always calls pow
             u = rng.random(n)
-            return 1.0 - np.power(1.0 - u, 1.0 / (1.0 + self.beta))
+            return 1.0 - (1.0 - u) ** (1.0 / (1.0 + self.beta))
         return self.a * self.inner._sample(n, rng)
 
     # ------------------------------------------------------------------

@@ -282,6 +282,19 @@ class ScalingReport:
                 for n, (value, error), seconds
                 in zip(self.n_values, self.estimates, self.runtime_seconds)]
 
+    @classmethod
+    def from_csv_rows(cls, rows: list) -> "ScalingReport":
+        """Inverse of :meth:`csv_rows`, from rows of text cells."""
+        first = rows[0]
+        return cls(**_csv_scalars(cls, first),
+                   n_values=tuple(int(r["n"]) for r in rows),
+                   estimates=tuple((float(r["value"]),
+                                    float(r["error"]) if r["error"] else None)
+                                   for r in rows),
+                   exponent_ci=(float(first["ci_lo"]), float(first["ci_hi"])),
+                   runtime_seconds=tuple(float(r["runtime_seconds"]) for r in rows),
+                   discarded=tuple(map(float, _split(first["discarded"]))))
+
     def result_fields(self) -> dict:
         """Everything except wall-clock runtimes (the byte-stable content)."""
         d = _plain_dict(self)
@@ -407,6 +420,17 @@ class ComparisonTable:
         return [{**common, "n": n, "algorithm": alg, "n_delta": self.n_delta[alg][i]}
                 for i, n in enumerate(self.n_values) for alg in self.algorithms]
 
+    @classmethod
+    def from_csv_rows(cls, rows: list) -> "ComparisonTable":
+        """Inverse of :meth:`csv_rows`, from rows of text cells."""
+        algorithms = tuple(dict.fromkeys(r["algorithm"] for r in rows))
+        return cls(**_csv_scalars(cls, rows[0]),
+                   n_values=tuple(dict.fromkeys(int(r["n"]) for r in rows)),
+                   algorithms=algorithms,
+                   n_delta={a: tuple(int(r["n_delta"]) for r in rows
+                                     if r["algorithm"] == a) for a in algorithms},
+                   violations=_split(rows[0]["violations"]))
+
     def result_fields(self) -> dict:
         return _plain_dict(self)
 
@@ -481,14 +505,16 @@ def emit(report, fmt: str, path: Optional[str] = None) -> str:
     """Serialize a report as csv or json; write to path when given.
 
     JSON carries the schema tag, config fields, and seed so a run can be
-    reproduced from its own output.
+    reproduced from its own output.  Any other ``fmt`` raises ValueError.
     """
     if not isinstance(report, (ScalingReport, ComparisonTable)):
         raise TypeError(f"emit does not know how to serialize {type(report)}")
     if fmt == "csv":
         text = rows_csv(report.csv_rows(), report.CSV_COLUMNS)
-    else:
+    elif fmt == "json":
         text = json_text({"schema": report.SCHEMA, **_plain_dict(report)})
+    else:
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
     if path is not None:
         try:
             with open(path, "w") as fh:
@@ -507,6 +533,18 @@ def _tuples(v):
     return v
 
 
+def _csv_scalars(cls, row: dict) -> dict:
+    """The scalar fields of report ``cls`` that are CSV columns, typed."""
+    types = {"str": str, "int": int, "float": float}
+    return {f.name: types[f.type](row[f.name]) for f in dataclasses.fields(cls)
+            if f.name in cls.CSV_COLUMNS and f.type in types}
+
+
+def _split(cell: str) -> tuple:
+    """A ``;``-joined CSV cell back to its tuple of strings."""
+    return tuple(v for v in cell.split(";") if v)
+
+
 def parse_report(text: str):
     """Inverse of :func:`emit` for both formats and both report types."""
     if text.lstrip().startswith("{"):
@@ -517,36 +555,10 @@ def parse_report(text: str):
         cls = _REPORTS[schema]
         return cls(**{f.name: _tuples(payload[f.name])
                       for f in dataclasses.fields(cls)})
-    reader = csv.reader(io.StringIO(text))
-    table_rows = [r for r in reader if r]
-    header, data = table_rows[0], table_rows[1:]
-    rows = [dict(zip(header, r)) for r in data]
+    rows = list(csv.DictReader(io.StringIO(text)))
     if not rows:
         raise ValueError("empty csv report")
-    if rows[0]["schema"] == ScalingReport.SCHEMA:
-        first = rows[0]
-        return ScalingReport(
-            dist=first["dist"], method=first["method"],
-            n_values=tuple(int(r["n"]) for r in rows),
-            estimates=tuple((float(r["value"]),
-                             None if r["error"] == "" else float(r["error"]))
-                            for r in rows),
-            fitted_exponent=float(first["fitted_exponent"]),
-            exponent_ci=(float(first["ci_lo"]), float(first["ci_hi"])),
-            runtime_seconds=tuple(float(r["runtime_seconds"]) for r in rows),
-            discarded=tuple(float(d) for d in first["discarded"].split(";") if d),
-            trials=int(first["trials"]), seed=int(first["seed"]))
-    if rows[0]["schema"] == ComparisonTable.SCHEMA:
-        first = rows[0]
-        n_values = tuple(dict.fromkeys(int(r["n"]) for r in rows))
-        algorithms = tuple(dict.fromkeys(r["algorithm"] for r in rows))
-        table = {a: [] for a in algorithms}
-        for r in rows:
-            table[r["algorithm"]].append(int(r["n_delta"]))
-        return ComparisonTable(
-            dist=first["dist"], delta=float(first["delta"]),
-            trials=int(first["trials"]), seed=int(first["seed"]),
-            n_values=n_values, algorithms=algorithms,
-            n_delta={a: tuple(v) for a, v in table.items()},
-            violations=tuple(v for v in first["violations"].split(";") if v))
-    raise ValueError(f"unknown csv schema {rows[0]['schema']!r}")
+    schema = rows[0]["schema"]
+    if schema not in _REPORTS:
+        raise ValueError(f"unknown csv schema {schema!r}")
+    return _REPORTS[schema].from_csv_rows(rows)

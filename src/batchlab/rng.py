@@ -41,12 +41,18 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     The same (seed, path) always yields the same stream; distinct paths give
     statistically independent streams via SeedSequence spawn keys.  Seeds
     outside [0, 2**64) raise ValueError rather than alias a smaller seed.
+
+    The bit generator is ``PCG64DXSM`` (O'Neill, "PCG: a family of simple
+    fast space-efficient statistically good algorithms", 2014), about twice
+    as fast per uniform as the counter-based ``Philox``.  A counter-based
+    stream would buy nothing here: the spawn keys already give every chunk
+    its own independently seeded stream.
     """
     if not 0 <= int(master_seed) < 2**64:
         raise ValueError(f"master seed {master_seed} is outside [0, 2**64)")
     ss = np.random.SeedSequence(entropy=int(master_seed),
                                 spawn_key=tuple(int(x) for x in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def chunk_bounds(n_items: int, chunk_size: int = CHUNK_SIZE) -> list[tuple[int, int]]:

@@ -32,8 +32,14 @@ Variate Generation* (1986).  With fixed p the lifetimes are not identically
 distributed, so ``batch_times`` and ``full_memory_times`` stay the fixed-p
 samplers and the oracles of those laws; memoryless re-picks share one p, so
 it has no such law.  Rows are drawn in fixed chunks from per-chunk streams
-derived from a master seed, so results are reproducible and independent of
-thread count.
+derived from a master seed (``rng.derive_rng``, PCG64DXSM), so results are
+reproducible and independent of thread count.
+
+The memoryless and fresh-p full-memory samplers lay the holds of all
+trials out in one flat array, trial after trial.  Memoryless reads the held
+overlaps with one flat ``take`` (from the one vector when p is fixed), and
+both sum each trial's waits with ``np.add.reduceat`` over the start of its
+stretch (:func:`_segment_sums`) instead of a scatter-add.
 """
 
 from __future__ import annotations
@@ -182,6 +188,19 @@ def batch_time_quantile(dist: OverlapDistribution, n: int, u) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive run of ``values``, ``counts[r]`` long for row r.
+
+    Float64, with 0 for a row whose run is empty.  ``np.add.reduceat`` takes
+    the starts ``cumsum(counts) - counts`` of the non-empty runs only, since
+    it reads a repeated start as a one-element run.
+    """
+    out = np.zeros(counts.size)
+    some = counts > 0
+    out[some] = np.add.reduceat(values, (np.cumsum(counts) - counts)[some])
+    return out
+
+
 def simulate_memoryless(p, rng: np.random.Generator,
                         horizon: int = DEFAULT_HORIZON) -> Optional[int]:
     """One word-level memoryless trial.
@@ -237,18 +256,24 @@ def memoryless_times(P: np.ndarray, rng: np.random.Generator,
     {0,1,...} with success 1/(n+1); each hold lasts Geom(1 - p_I) words with
     I uniform over wrong concepts.  Censoring (settle > horizon) matches the
     word-level loop exactly.  Returns float64 with inf for censored trials.
+
+    The holds of all rows form one flat run, row by row.  Their overlaps
+    are read with one ``take`` at flat indices ``row * n + I`` of ``P``, or
+    at ``I`` of the one vector when ``P`` repeats it (a zero row stride, as
+    from ``np.broadcast_to``), so no ``(trials, n)`` copy is made.  The
+    waits are then summed per row by :func:`_segment_sums`.
     """
     count, n = P.shape
-    if n == 0:
+    if not P.size:
         return np.zeros(count)
     picks = rng.geometric(1.0 / (n + 1), size=count) - 1
-    total = np.zeros(count)
-    flat = int(picks.sum())
-    if flat:
-        holder = np.repeat(np.arange(count), picks)
-        idx = rng.integers(0, n, size=flat)
-        waits = geometric_steps(P[holder, idx], rng)
-        np.add.at(total, holder, waits)
+    idx = rng.integers(0, n, size=int(picks.sum()))
+    if P.strides[0] == 0:
+        overlaps = P[0].take(idx)
+    else:
+        idx += np.repeat(np.arange(0, count * n, n), picks)
+        overlaps = P.reshape(-1).take(idx)
+    total = _segment_sums(geometric_steps(overlaps, rng), picks)
     return np.where(total > horizon, np.inf, total)
 
 
@@ -275,13 +300,12 @@ def full_memory_ensemble_times(dist: OverlapDistribution, n: int,
     the target, their overlaps are i.i.d. from ``dist`` and each is held for
     a geometric wait, so the time is the sum of J i.i.d. lifetimes with
     P(G > k) = m_k.  Draws J for every trial, then sum(J) overlaps, then
-    sum(J) waits; n = 0 gives zeros.
+    sum(J) waits, summed per trial by :func:`_segment_sums`; n = 0 gives
+    zeros.
     """
     held = rng.integers(0, n + 1, size=count)
     waits = geometric_steps(dist.sample(int(held.sum()), rng), rng)
-    times = np.bincount(np.repeat(np.arange(count), held), weights=waits,
-                        minlength=count)
-    return times.astype(np.float64, copy=False)    # int64 when sum(J) = 0
+    return _segment_sums(waits, held)
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from batchlab.batch_exact import (_X_BUDGET, coarse_bounds, expected_time_bulk,
-                                  expected_time_fast, expected_time_series,
-                                  expected_time_subsets, n_delta, sandwich,
-                                  survival, survival_bulk)
+from batchlab.batch_exact import (_X_BUDGET, _first_step, coarse_bounds,
+                                  expected_time_bulk, expected_time_fast,
+                                  expected_time_series, expected_time_subsets,
+                                  n_delta, sandwich, survival, survival_bulk)
 from batchlab.errors import DivergenceError, PrecisionLossError
 from batchlab.rng import rows_chunk
 from batchlab.simulators import (run_trials, simulate_batch,
@@ -182,6 +182,22 @@ class TestNDelta:
     def test_divergence(self):
         with pytest.raises(DivergenceError):
             n_delta([1.0], 0.5)
+
+
+class TestFirstStep:
+    def test_never_calls_done_on_empty_arrays(self):
+        # past 2**53 the bisection ends once the midpoint rounds onto an end,
+        # which empties the active set; targets on the float64 grid come back
+        # exactly
+        target = np.array([3.0, 2.0**60 + 3 * 2.0**8, 2.0**70 + 5 * 2.0**18])
+
+        def done(idx, k):
+            if not idx.size:
+                raise AssertionError("done called with empty arrays")
+            return k >= target[idx]
+
+        assert np.array_equal(_first_step(done, target.size), target)
+        assert _first_step(done, 0).size == 0
 
 
 class TestCoarseBounds:

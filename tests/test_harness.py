@@ -208,6 +208,12 @@ class TestSerialization:
         with pytest.raises(OSError, match="x.json"):
             emit(_sample_scaling_report(), "json", str(target))
 
+    def test_emit_rejects_unknown_format(self, tmp_path):
+        target = tmp_path / "report.xml"
+        with pytest.raises(ValueError, match="xml"):
+            emit(_sample_scaling_report(), "xml", str(target))
+        assert not target.exists()
+
     def test_emit_writes_file(self, tmp_path):
         target = tmp_path / "report.csv"
         text = emit(_sample_scaling_report(), "csv", str(target))

@@ -15,8 +15,9 @@ from batchlab.batch_exact import expected_time_series, survival
 from batchlab.distributions import power_tail, uniform
 from batchlab.errors import CensoringError, DivergenceError
 from batchlab.rng import CHUNK_SIZE, rows_chunk
-from batchlab.simulators import (batch_time_quantile, batch_times,
-                                 empirical_n_delta, full_memory_times,
+from batchlab.simulators import (_segment_sums, batch_time_quantile,
+                                 batch_times, empirical_n_delta,
+                                 full_memory_ensemble_times, full_memory_times,
                                  memoryless_times, run_trials, simulate_batch,
                                  simulate_batch_wordlevel, simulate_full_memory,
                                  simulate_memoryless)
@@ -200,6 +201,15 @@ class TestFullMemoryEnsembleLaw:
         t = run_trials("full_memory", uniform(), 0, 5, master_seed).times
         assert t.dtype == np.float64 and t.tolist() == [0.0] * 5
 
+    def test_no_held_concepts_give_float_zero(self, master_seed):
+        # J ~ U{0, 1} at n = 1 is the first draw: J = 0 is time 0.0 exactly,
+        # J = 1 a lifetime >= 1
+        t = full_memory_ensemble_times(uniform(), 1, 400,
+                                       np.random.default_rng(master_seed))
+        held = np.random.default_rng(master_seed).integers(0, 2, size=400)
+        assert t.dtype == np.float64
+        assert np.array_equal(t == 0.0, held == 0) and (t[held > 0] >= 1).all()
+
     def test_chunks_reproducible_across_threads(self, master_seed):
         n = 1000
         trials = 2 * rows_chunk(n) + 7            # three chunks
@@ -243,6 +253,50 @@ class TestMemoryless:
         single = np.asarray([simulate_memoryless(p, rng) for _ in range(20000)])
         bulk = memoryless_times(tiled(p, 20000), rng)
         assert stats.ks_2samp(single, bulk).pvalue > 1e-3
+
+    def test_broadcast_view_matches_tiled_copy(self, master_seed):
+        # the zero-stride view is read from its one vector, the copy at
+        # flat row offsets: the same draws give the same times
+        p = np.random.default_rng(master_seed).random(7)
+        a = memoryless_times(np.broadcast_to(p, (500, 7)),
+                             np.random.default_rng(master_seed))
+        b = memoryless_times(np.tile(p, (500, 1)),
+                             np.random.default_rng(master_seed))
+        assert np.array_equal(a, b)
+        none = memoryless_times(np.broadcast_to(p, (0, 7)),
+                                np.random.default_rng(master_seed))
+        assert none.size == 0
+
+    @pytest.mark.parametrize("dist", [uniform(), power_tail(1.0)],
+                             ids=lambda d: d.spec)
+    def test_fresh_p_same_law_as_word_level(self, dist, master_seed):
+        # each word-level trial gets its own fresh row; censored trials of
+        # either side count as horizon + 1
+        n, trials, horizon = 4, 4000, 2000
+        bulk = run_trials("memoryless", dist, n, trials, master_seed,
+                          horizon=horizon).times
+        rng = np.random.default_rng(master_seed)
+        single = [simulate_memoryless(dist.sample(n, rng), rng, horizon)
+                  for _ in range(trials)]
+        single = [horizon + 1 if t is None else t for t in single]
+        assert stats.ks_2samp(np.minimum(bulk, horizon + 1),
+                              single).pvalue > 1e-3
+
+    def test_no_holds_give_float_zero_and_censoring_marks_inf(self, master_seed):
+        # the number of wrong holds is the first draw: rows without one are
+        # 0.0 exactly, the rest hold p = 0.999 and mostly outlive horizon 3
+        t = memoryless_times(tiled([0.999], 400),
+                             np.random.default_rng(master_seed), horizon=3)
+        picks = np.random.default_rng(master_seed).geometric(0.5, size=400) - 1
+        assert t.dtype == np.float64
+        assert np.array_equal(t == 0.0, picks == 0)
+        assert np.isinf(t).any() and (t[np.isfinite(t)] <= 3).all()
+
+    def test_segment_sums(self):
+        got = _segment_sums(np.arange(1.0, 6.0), np.array([0, 2, 0, 3, 0]))
+        assert got.tolist() == [0.0, 3.0, 0.0, 12.0, 0.0]
+        none = _segment_sums(np.zeros(0), np.zeros(3, dtype=np.int64))
+        assert none.dtype == np.float64 and none.tolist() == [0.0] * 3
 
     def test_censoring_marker(self, rng):
         out = [simulate_memoryless([0.999], rng, horizon=3) for _ in range(200)]
@@ -338,9 +392,9 @@ class TestRunTrials:
         # fresh uniform p, n = 30: the first eight times of one chunk
         # batch: one uniform per trial, inverted through the exact law;
         # full memory: J held concepts, then their overlaps and waits
-        want = {"batch": [14, 24, 48, 10, 46, 19, 32, 48],
-                "memoryless": [1, 223, 1555, 2, 75, 26, 1, 20],
-                "full_memory": [18, 3, 39, 210, 1501, 77, 87, 101]}
+        want = {"batch": [17, 12, 50, 627, 12, 52, 24, 19],
+                "memoryless": [154, 214, 70, 45, 177, 185, 1497, 369],
+                "full_memory": [45, 738, 225, 2, 74, 198, 82, 88]}
         for alg, times in want.items():
             got = run_trials(alg, uniform(), 30, 64, master_seed).times[:8]
             assert got.tolist() == times
