@@ -233,11 +233,14 @@ def expected_time_subsets(p) -> float:
     Subsets are enumerated in Gray-code order so the running product changes
     by one incremental update per subset; the product is carried as a log
     sum, immune to underflow from subnormal entries.  Zero entries are
-    pruned first (their subsets contribute nothing).  Terms are accumulated
-    with exact (fsum) rounding.
+    pruned first (their subsets contribute nothing), and the rest sorted
+    largest first: Gray code flips bit j 2**(m-1-j) times, so the huge
+    logs of tiny entries are added and taken back fewest times, and every
+    subset without them is summed before any of them is added.  Terms are
+    accumulated with exact (fsum) rounding.
     """
     arr = _as_p(p)
-    arr = arr[arr > 0.0]
+    arr = np.sort(arr[arr > 0.0])[::-1]
     m = arr.size
     if m == 0:
         return 0.0

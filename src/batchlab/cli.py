@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Subcommands: zeta, exact-time, ndelta, simulate, ensemble, extremes,
-scaling, compare.  Global flags (--seed, --out, --format, --config,
+scaling, compare.  Each is one entry of ``_COMMANDS``: its help line, its
+flags, the flag it cannot run without, the formats it writes (default
+first) and its handler.  Global flags (--seed, --out, --format, --config,
 --threads) may also come from a flat key=value config file; explicit flags
-win.  Exit codes: 0 success, 1 any other error (with a traceback),
+win.  Every flag value is text, parsed by :meth:`RunConfig.merged` exactly
+as a config-file value is, so a malformed value is a config error.
+Exit codes: 0 success, 1 any other error (with a traceback),
 2 config error, 3 divergence signal, 4 precision or censoring failure.
 """
 
@@ -13,7 +17,7 @@ import argparse
 import math
 import sys
 import time
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,105 +29,63 @@ from .errors import (CensoringError, ConfigError, DivergenceError,
 from .harness import RunConfig, json_text, rows_csv
 
 
+# the field each flag sets where it is not the flag's own name
+_FIELD = {"alg": "algorithm", "fixed-p": "p", "n-sweep": "n_sweep"}
+
+# the flags every command takes
+_COMMON = "seed out format config threads"
+
+# help text by flag, or by "command flag" where commands differ
+_HELP = {"seed": "64-bit master seed", "out": "output path (default stdout)",
+         "format": "csv | json", "config": "flat key=value config file",
+         "p": "comma-separated overlaps in [0,1)",
+         "n-sweep": "comma-separated n values",
+         "alg": " | ".join(simulators.ALGORITHMS),
+         "fixed-p": "reuse this vector instead of resampling",
+         "dump": "emit per-trial times as CSV",
+         "ensemble method": " | ".join(ens.METHODS),
+         "scaling method": "moment_series | mc_median | auto"}
+
+
+class _Command(NamedTuple):
+    help: str
+    flags: str                # its flags besides the common five
+    required: Optional[str]   # the flag it cannot run without
+    formats: tuple            # the formats it writes, default first
+    handler: Callable[[RunConfig], str]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="batchlab",
         description="Batch-learning convergence laboratory")
+    # a parent parser: copying its actions costs less than adding them anew
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="64-bit master seed")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--config", default=None, help="flat key=value config file")
-    common.add_argument("--threads", type=int, default=None)
+    for flag in _COMMON.split():
+        common.add_argument(f"--{flag}", help=_HELP.get(flag))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("zeta", parents=[common],
-                       help="moment zeta function value with certified error")
-    p.add_argument("--dist", default=None)
-    p.add_argument("--s", type=float, default=None, required=False)
-    p.add_argument("--eps", type=float, default=None)
-
-    p = sub.add_parser("exact-time", parents=[common],
-                       help="exact expected learning time for a fixed vector")
-    p.add_argument("--p", default=None, help="comma-separated overlaps in [0,1)")
-    p.add_argument("--eps", type=float, default=None)
-
-    p = sub.add_parser("ndelta", parents=[common],
-                       help="smallest k with survival <= delta")
-    p.add_argument("--p", default=None)
-    p.add_argument("--delta", type=float, default=None)
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="Monte Carlo trials of one learning algorithm")
-    p.add_argument("--alg", dest="algorithm",
-                   choices=simulators.ALGORITHMS, default=None)
-    p.add_argument("--dist", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--fixed-p", dest="p", default=None,
-                   help="reuse this vector instead of resampling")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--dump", action="store_true", default=None,
-                   help="emit per-trial times as CSV")
-
-    p = sub.add_parser("ensemble", parents=[common],
-                       help="expected time under the overlap law, one method")
-    p.add_argument("--dist", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--method", choices=ens.METHODS, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-
-    p = sub.add_parser("extremes", parents=[common],
-                       help="minimum-gap extreme value statistics over an n sweep")
-    p.add_argument("--dist", default=None)
-    p.add_argument("--n-sweep", dest="n_sweep", default=None,
-                   help="comma-separated n values")
-    p.add_argument("--trials", type=int, default=None)
-
-    p = sub.add_parser("scaling", parents=[common],
-                       help="n-sweep with fitted log-log exponent")
-    p.add_argument("--dist", default=None)
-    p.add_argument("--n-sweep", dest="n_sweep", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--method", default=None,
-                   help="moment_series | mc_median | auto")
-    p.add_argument("--eps", type=float, default=None)
-
-    p = sub.add_parser("compare", parents=[common],
-                       help="three-algorithm empirical N_delta table")
-    p.add_argument("--dist", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-sweep", dest="n_sweep", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--horizon", type=int, default=None)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for flag in command.flags.split():
+            # None, not False, when absent, so a config file's dump stands
+            kind = {"action": "store_true", "default": None} if flag == "dump" else {}
+            p.add_argument(f"--{flag}", dest=_FIELD.get(flag, flag),
+                           help=_HELP.get(f"{name} {flag}", _HELP.get(flag)),
+                           **kind)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    base = RunConfig(command=args.command)
-    if getattr(args, "config", None):
+    values = dict(vars(args))
+    path = values.pop("config")
+    base = RunConfig()
+    if path:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 base = RunConfig.from_text(fh.read())
         except OSError as exc:
-            raise ConfigError(f"cannot read config file {args.config!r}: {exc}")
-        base.command = args.command
-    overrides = {}
-    for key in ("dist", "n", "trials", "delta", "eps", "s", "seed", "threads",
-                "method", "algorithm", "horizon", "out", "format", "dump"):
-        if hasattr(args, key):
-            overrides[key] = getattr(args, key)
-    for key, kind in (("n_sweep", int), ("p", float)):
-        text = getattr(args, key, None)
-        if text is not None:
-            try:
-                overrides[key] = tuple(kind(x) for x in str(text).split(",") if x)
-            except ValueError:
-                raise ConfigError(f"bad --{key.replace('_', '-')} value {text!r}") from None
-    return base.merged(overrides)
+            raise ConfigError(f"cannot read config file {path!r}: {exc}")
+    return base.merged(values)
 
 
 # ----------------------------------------------------------------------
@@ -206,25 +168,54 @@ def _cmd_compare(cfg: RunConfig) -> str:
     return harness.emit(harness.compare_algorithms(cfg), cfg.format)
 
 
-_HANDLERS = {
-    "zeta": _cmd_zeta,
-    "exact-time": _cmd_exact_time,
-    "ndelta": _cmd_ndelta,
-    "simulate": _cmd_simulate,
-    "ensemble": _cmd_ensemble,
-    "extremes": _cmd_extremes,
-    "scaling": _cmd_scaling,
-    "compare": _cmd_compare,
+_COMMANDS = {
+    "zeta": _Command("moment zeta function value with certified error",
+                     "dist s eps", "s", ("json",), _cmd_zeta),
+    "exact-time": _Command("exact expected learning time for a fixed vector",
+                           "p eps", "p", ("json",), _cmd_exact_time),
+    "ndelta": _Command("smallest k with survival <= delta",
+                       "p delta", "p", ("json",), _cmd_ndelta),
+    "simulate": _Command("Monte Carlo trials of one learning algorithm",
+                         "alg dist n trials fixed-p horizon dump", "alg",
+                         ("json",), _cmd_simulate),
+    "ensemble": _Command("expected time under the overlap law, one method",
+                         "dist n method trials eps", "n", ("csv", "json"),
+                         _cmd_ensemble),
+    "extremes": _Command("minimum-gap extreme value statistics over an n sweep",
+                         "dist n-sweep trials", "n-sweep", ("csv", "json"),
+                         _cmd_extremes),
+    "scaling": _Command("n-sweep with fitted log-log exponent",
+                        "dist n-sweep trials method eps", None, ("json", "csv"),
+                        _cmd_scaling),
+    "compare": _Command("three-algorithm empirical N_delta table",
+                        "dist n n-sweep trials delta horizon", None,
+                        ("json", "csv"), _cmd_compare),
 }
+
+
+def _checked(name: str, cfg: RunConfig) -> RunConfig:
+    """``cfg`` validated for command ``name``, its format defaulted."""
+    command = _COMMANDS[name]
+    flag = command.required
+    if flag and getattr(cfg, _FIELD.get(flag, flag)) in (None, ()):
+        raise ConfigError(f"{name} requires --{flag}")
+    cfg.validate()
+    formats = command.formats
+    if name == "simulate" and cfg.dump:
+        name, formats = "simulate --dump", ("csv",)
+    if cfg.format not in (None, *formats):
+        raise ConfigError(f"format must be {' or '.join(formats)} for "
+                          f"{name}, got {cfg.format}")
+    cfg.format = cfg.format or formats[0]
+    return cfg
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args).validate()
-        cfg.format = cfg.format or harness.FORMATS[cfg.writer][0]
-        text = _HANDLERS[args.command](cfg)
+        cfg = _checked(args.command, _config_from_args(args))
+        text = _COMMANDS[args.command].handler(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -68,8 +68,8 @@ class OverlapDistribution:
         if self.family == UNIFORM:
             return "uniform"
         if self.family == POWERTAIL:
-            return f"powertail:beta={self.beta:g}"
-        return f"scaled:a={self.a:g},inner={self.inner.spec}"
+            return f"powertail:beta={_float_text(self.beta)}"
+        return f"scaled:a={_float_text(self.a)},inner={self.inner.spec}"
 
     # ------------------------------------------------------------------
     # density / cdf
@@ -256,6 +256,12 @@ def parse_dist(spec: str) -> OverlapDistribution:
         a = _parse_float(args[len("a="):pos], spec)
         return scaled(a, parse_dist(args[pos + len(marker):]))
     raise ValueError(f"unknown distribution spec {spec!r}")
+
+
+def _float_text(x: float) -> str:
+    """``x`` as ``:g`` when that parses back to ``x``, else as ``repr``."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 def _parse_float(text: str, spec: str) -> float:

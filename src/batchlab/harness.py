@@ -1,7 +1,8 @@
 """Experiment orchestration: n-sweeps, exponent fits, algorithm comparison.
 
 A :class:`RunConfig` captures one experiment (flat key=value file format,
-CLI flags override file values).  ``run_scaling`` estimates the learning
+CLI flags override file values; one field -> parser table reads the text of
+both).  ``run_scaling`` estimates the learning
 time at each n (moment series when the expectation exists, Monte Carlo
 median of simulated learning times otherwise), fits a log-log exponent with
 a bootstrap/jackknife confidence interval, and packages a
@@ -10,8 +11,9 @@ N_delta for the three learners under shared-master-seed discipline.
 
 Serialization: :func:`json_text` and :func:`rows_csv` write every report and
 every CLI command's output, with losslessly rendered floats (shortest
-round-trip form); :data:`FORMATS` lists which of the two each command
-writes.  :func:`emit` writes a report and :func:`parse_report` inverts it.
+round-trip form); the command table in :mod:`batchlab.cli` says which of
+the two each command writes.  :func:`emit` writes a report and
+:func:`parse_report` inverts it.
 All result fields are byte-reproducible from (config, seed); wall-clock
 ``runtime_seconds`` is the one declared-volatile field.
 """
@@ -43,24 +45,26 @@ _BOOTSTRAP_RESAMPLES = 200
 # configuration
 # ----------------------------------------------------------------------
 
-# the formats each command writes, its default first; simulate --dump
-# writes per-trial times instead of a summary
-FORMATS = {"zeta": ("json",), "exact-time": ("json",), "ndelta": ("json",),
-           "simulate": ("json",), "simulate --dump": ("csv",),
-           "ensemble": ("csv", "json"), "extremes": ("csv", "json"),
-           "scaling": ("json", "csv"), "compare": ("json", "csv")}
 
-_INT_FIELDS = {"n", "trials", "seed", "threads", "horizon"}
-_FLOAT_FIELDS = {"delta", "eps", "s"}
-_BOOL_FIELDS = {"dump"}
+def _list(kind):
+    return lambda text: tuple(kind(x) for x in text.split(",") if x)
+
+
+# how the text of a flag or a config-file line becomes each non-string field
+_PARSERS = {"n": int, "trials": int, "seed": int, "threads": int,
+            "horizon": int, "delta": float, "eps": float, "s": float,
+            "n_sweep": _list(int), "p": _list(float),
+            "dump": lambda text: text.lower() in ("1", "true", "yes")}
 
 
 @dataclass
 class RunConfig:
     """One experiment configuration; validates before execution.
 
-    Field coverage varies by command; ``validate`` enforces what the chosen
-    command needs.  :meth:`from_text` reads the flat key=value file format.
+    Field coverage varies by command; ``validate`` checks the limits of the
+    chosen command's values (the CLI's command table names the flag each
+    command cannot run without).  :meth:`from_text` reads the flat
+    key=value file format.
     """
 
     command: str = ""
@@ -87,12 +91,6 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    @property
-    def writer(self) -> str:
-        """This command's key in :data:`FORMATS`."""
-        dump = self.command == "simulate" and self.dump
-        return "simulate --dump" if dump else self.command
-
     def validate(self) -> "RunConfig":
         if self.format not in (None, "csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
@@ -113,17 +111,11 @@ class RunConfig:
         dist = self.distribution()
         if any(not 0.0 <= x <= 1.0 for x in self.p):
             raise ConfigError("p entries must lie in [0, 1]")
-        needed = {"zeta": "s", "exact-time": "p", "ndelta": "p", "ensemble": "n",
-                  "extremes": "n_sweep", "simulate": "algorithm"}.get(self.command)
-        if needed and getattr(self, needed) in (None, ()):
-            flag = {"n_sweep": "n-sweep", "algorithm": "alg"}.get(needed, needed)
-            raise ConfigError(f"{self.command} requires --{flag}")
         if self.command == "simulate" and self.n is None and not self.p:
             raise ConfigError("simulate requires --n (or --fixed-p)")
-        written = FORMATS.get(self.writer, ("csv", "json"))
-        if self.format not in (None, *written):
-            raise ConfigError(f"format must be {' or '.join(written)} for "
-                              f"{self.writer}, got {self.format}")
+        if self.command == "simulate" and self.p and self.n not in (None, len(self.p)):
+            raise ConfigError(f"n = {self.n} disagrees with the {len(self.p)} "
+                              f"entries of --fixed-p")
         if self.command == "simulate" and self.algorithm not in (None, *ALGORITHMS):
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, "
                               f"got {self.algorithm!r}")
@@ -151,13 +143,16 @@ class RunConfig:
                 raise ConfigError("n-sweep must span at least two decades")
         if self.command == "compare" and not self.n_sweep and self.n is None:
             raise ConfigError("compare needs --n or --n-sweep")
+        if self.command == "compare" and self.n_sweep and self.n is not None:
+            raise ConfigError("n and n-sweep cannot both be set for compare")
         return self
 
     # -- flat key=value file format ---------------------------------
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        kwargs = {}
+        pairs = {}
+        names = {f.name for f in dataclasses.fields(cls)}
         for ln, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -166,36 +161,28 @@ class RunConfig:
                 raise ConfigError(f"config line {ln}: expected key=value, got {raw!r}")
             key, value = line.split("=", 1)
             key = key.strip()
-            value = value.strip()
-            if key not in {f.name for f in dataclasses.fields(cls)}:
+            if key not in names:
                 raise ConfigError(f"config line {ln}: unknown key {key!r}")
-            kwargs[key] = _coerce(key, value)
-        return cls(**kwargs)
+            pairs[key] = value.strip()
+        return cls().merged(pairs)
 
     def merged(self, overrides: dict) -> "RunConfig":
-        """New config with non-None override values applied."""
+        """New config with non-None override values applied.
+
+        A ``str`` value of a non-string field is parsed by :data:`_PARSERS`,
+        whether it comes from a flag or a config file.
+        """
         out = dataclasses.replace(self)
         for key, value in overrides.items():
+            if isinstance(value, str) and key in _PARSERS:
+                try:
+                    value = _PARSERS[key](value)
+                except ValueError:
+                    raise ConfigError(f"bad value {value!r} for "
+                                      f"{key.replace('_', '-')}") from None
             if value is not None:
                 setattr(out, key, value)
         return out
-
-
-def _coerce(key: str, value: str):
-    try:
-        if key in _INT_FIELDS:
-            return int(value)
-        if key in _FLOAT_FIELDS:
-            return float(value)
-        if key in _BOOL_FIELDS:
-            return value.lower() in ("1", "true", "yes")
-        if key == "n_sweep":
-            return tuple(int(x) for x in value.split(",") if x)
-        if key == "p":
-            return tuple(float(x) for x in value.split(",") if x)
-    except ValueError:
-        raise ConfigError(f"bad value {value!r} for config key {key!r}") from None
-    return value
 
 
 # ----------------------------------------------------------------------

@@ -151,6 +151,14 @@ class TestExpectedTimeSubsets:
             b = expected_time_series(p, eps=1e-13).t
             assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
 
+    def test_tiny_entries_leave_no_log_drift(self):
+        # the logs of 1e-133 and 3e-248 once drifted the running product of
+        # the other subsets, 1.5e-10 relative off the series
+        p = np.array([0.5, 1.30632688e-133, 3.47664189e-248, 0.75,
+                      3.47664189e-248, 0.5, 0.5, 0.98828125])
+        assert_allclose(expected_time_subsets(p),
+                        expected_time_series(p, eps=1e-13).t, rtol=1e-14)
+
     @given(p=overlap_vectors)
     @settings(max_examples=150, deadline=None)
     def test_cross_formula_property(self, p):

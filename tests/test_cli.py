@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, config files, output routing."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from batchlab import cli
+from batchlab import cli, harness
 from batchlab.cli import main
-from batchlab.harness import parse_report
+from batchlab.harness import RunConfig, parse_report
 from tests.conftest import MASTER_SEED
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -104,10 +105,17 @@ class TestSimulateCommand:
     def test_censoring_exit_code(self, capsys):
         code, _, err = run_cli(["simulate", "--alg", "memoryless", "--dist",
                                 "uniform", "--n", "50", "--trials", "100",
-                                "--seed", "3", "--horizon", "2", "--delta",
-                                "0.1"], capsys)
+                                "--seed", "3", "--horizon", "2"], capsys)
         # summary reports censored trials rather than failing
         assert code == 0
+
+    def test_n_disagreeing_with_fixed_p_rejected(self, capsys):
+        base = ["simulate", "--alg", "batch", "--fixed-p", "0.5,0.5",
+                "--trials", "20"]
+        code, out, err = run_cli(base + ["--n", "10"], capsys)
+        assert code == 2 and out == "" and err.startswith("config error: n ")
+        code, out, _ = run_cli(base + ["--n", "2"], capsys)
+        assert code == 0 and json.loads(out)["n"] == 2
 
     def test_horizon_below_one_rejected(self, capsys):
         code, _, err = run_cli(["simulate", "--alg", "memoryless", "--dist",
@@ -179,6 +187,12 @@ class TestScalingAndCompare:
         rep = parse_report(out)
         assert rep.violations == ()
 
+    def test_compare_rejects_n_with_n_sweep(self, capsys):
+        code, out, err = run_cli(["compare", "--n", "5", "--n-sweep", "10,30",
+                                  "--trials", "50"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: n and n-sweep ")
+
     @pytest.mark.parametrize("args, fmt", [
         (["scaling", "--dist", "powertail:beta=1", "--n-sweep", "10,30,100,1000"],
          "json"),
@@ -240,9 +254,70 @@ class TestExitCodes:
     def test_internal_value_error_is_not_a_config_error(self, monkeypatch):
         def broken(cfg):
             raise ValueError("zero-size array to reduction operation")
-        monkeypatch.setitem(cli._HANDLERS, "zeta", broken)
+        monkeypatch.setitem(cli._COMMANDS, "zeta",
+                            cli._COMMANDS["zeta"]._replace(handler=broken))
         with pytest.raises(ValueError, match="zero-size array"):
             main(["zeta", "--s", "2"])
+
+
+class TestSingleParser:
+    # one flag per non-string RunConfig field, with a command that takes it
+    FLAGS = [
+        ("n", "ensemble", "--n", "12"),
+        ("n_sweep", "extremes", "--n-sweep", "10,100"),
+        ("trials", "simulate", "--trials", "7"),
+        ("delta", "compare", "--delta", "0.25"),
+        ("eps", "zeta", "--eps", "1e-7"),
+        ("s", "zeta", "--s", "2.5"),
+        ("p", "exact-time", "--p", "0.5,0.25"),
+        ("seed", "zeta", "--seed", "18446744073709551615"),
+        ("threads", "zeta", "--threads", "3"),
+        ("horizon", "simulate", "--horizon", "50"),
+        ("dump", "simulate", "--dump", "true"),
+    ]
+
+    def test_every_non_string_field_is_covered(self):
+        assert {f for f, *_ in self.FLAGS} == set(harness._PARSERS)
+
+    @pytest.mark.parametrize("field, command, flag, text", FLAGS,
+                             ids=[field for field, *_ in FLAGS])
+    def test_flag_and_config_line_agree(self, tmp_path, field, command, flag, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{field}={text}\n")
+        parse = cli.build_parser().parse_args
+        by_flag = cli._config_from_args(
+            parse([command, flag] + ([] if flag == "--dump" else [text])))
+        by_file = cli._config_from_args(parse([command, "--config", str(path)]))
+        assert by_flag == by_file
+        assert getattr(by_flag, field) != getattr(RunConfig(), field)
+        assert type(getattr(by_flag, field)) is type(getattr(by_file, field))
+
+    @pytest.mark.parametrize("args", [
+        ["zeta", "--s", "abc"],
+        ["zeta", "--s", "2", "--seed", "x"],
+        ["zeta", "--s", "2", "--threads", "1.0"],
+        ["simulate", "--alg", "batch", "--n", "1.5"],
+        ["ndelta", "--p", "0.9;0.2", "--delta", "0.5"],
+        ["scaling", "--n-sweep", "10,100,1000,x"],
+    ], ids=lambda v: " ".join(v))
+    def test_malformed_numeric_flag_is_config_error(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: bad value ")
+
+    def test_table_flags_are_fields(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if a.dest == "command").choices
+        assert set(subparsers) == set(cli._COMMANDS)
+        for name, command in cli._COMMANDS.items():
+            flags = command.flags.split()
+            assert command.required in (None, *flags), name
+            dests = {a.dest for a in subparsers[name]._actions} - {"help"}
+            assert dests == {cli._FIELD.get(flag, flag)
+                             for flag in flags + cli._COMMON.split()}
+            assert dests - {"config"} <= fields
+            assert command.formats and set(command.formats) <= {"csv", "json"}
 
 
 class TestConfigFileAndOutput:

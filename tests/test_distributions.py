@@ -215,9 +215,20 @@ class TestSpecStrings:
         "powertail:beta=-0.5",
         "scaled:a=0.5,inner=powertail:beta=2",
         "scaled:a=0.25,inner=scaled:a=0.5,inner=uniform",
+        "powertail:beta=0.1234567",
+        "scaled:a=0.99999999,inner=uniform",
+        "powertail:beta=1e-07",
     ])
     def test_round_trip(self, spec):
         assert parse_dist(spec).spec == spec
+
+    @given(beta=st.floats(min_value=-1.0, max_value=1e6, exclude_min=True),
+           a=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    @settings(max_examples=300, deadline=None)
+    def test_spec_names_the_same_law(self, beta, a):
+        # ":g" keeps six digits; a spec must never name a neighbouring law
+        for dist in (power_tail(beta), scaled(a, power_tail(beta))):
+            assert parse_dist(dist.spec) == dist
 
     @pytest.mark.parametrize("bad", [
         "gaussian", "powertail", "powertail:beta=x", "powertail:beta=-1",
