@@ -21,9 +21,9 @@ leading one and raises the rest to at least that level.
 
 For ensembles of large vectors (scales up to ~n**2 steps for negative tail
 exponents) one evaluator, vectorized over the rows of an overlap matrix,
-replaces the exact k-by-k sum.  Rows are sorted by p_max and taken in
-sub-blocks of about 2**16 overlaps, so that each sub-block cuts its own
-dead columns and retires its own rows.  Per row:
+replaces the exact k-by-k sum.  The rows of the whole matrix are put in
+one p_max order and taken in sub-blocks of about 2**16 overlaps, so that
+each sub-block cuts its own dead columns and retires its own rows.  Per row:
 
 1. *Saturated steps are counted.*  prod_i(1 - p_i**k) <= exp(-S(k)), with
    S(k) = sum_i p_i**k, so q_k rounds to exactly 1.0 while S(k) >= 40; the
@@ -35,9 +35,10 @@ dead columns and retires its own rows.  Per row:
    row retires once S(k) <= 1e-4; every step it took before had
    S > 1e-4 and so q > 1 - exp(-1e-4), so the product form moves T by at
    most about n * 1.1e-12 relative.
-3. *Euler-Maclaurin*: for the rows still alive, a corrected Gauss-Legendre
-   integral on a geometric grid from step 257, or from the step after the
-   saturated ones where those run past the head, to where S is small.
+3. *Euler-Maclaurin*: for the rows the head left alive or never took
+   (tail start still 0), a corrected Gauss-Legendre integral on a
+   geometric grid from step 257, or from the step after the saturated ones
+   where those run past the head, to where S is small.
 4. The same *closed-form tail* as a row that retired in the head.
 
 :func:`expected_time_bulk` runs it on a matrix and :func:`expected_time_fast`
@@ -239,15 +240,14 @@ def expected_time_subsets(p) -> float:
     subset without them is summed before any of them is added.  Terms are
     accumulated with exact (fsum) rounding.
     """
-    arr = _as_p(p)
-    arr = np.sort(arr[arr > 0.0])[::-1]
-    m = arr.size
+    logp = _log_desc(_as_p(p))
+    m = logp.size
     if m == 0:
         return 0.0
     if m > SUBSET_LIMIT:
         raise ValueError(f"subset enumeration limited to n <= {SUBSET_LIMIT} "
                          f"nonzero entries, got {m}")
-    return math.fsum(_subset_terms(np.log(arr).tolist(), m))
+    return math.fsum(_subset_terms(logp.tolist(), m))
 
 
 def _subset_terms(logp: list, m: int):
@@ -293,16 +293,17 @@ def expected_time_fast(p) -> TimeEstimate:
     arr = _as_p(p)
     if arr.size == 0:
         return TimeEstimate(0.0, 0.0)
-    t = float(_expected_times(arr[None, :])[0])
+    t = float(expected_time_bulk(arr[None, :])[0])
     return TimeEstimate(t, t + 1.0)
 
 
 def expected_time_bulk(P: np.ndarray) -> np.ndarray:
     """Expected times T for each row of P.
 
-    Rows are evaluated together, in blocks of bounded memory, by the
-    saturated count, the exact head, the Euler-Maclaurin integral and the
-    closed-form tail described in the module docstring.  Accuracy ~1e-5
+    The rows, in one p_max order over the whole matrix, are taken in
+    sub-blocks of about _X_BUDGET overlaps, each sorted as it is taken, by
+    the saturated count, the exact head, the Euler-Maclaurin integral and
+    the closed-form tail described in the module docstring.  Accuracy ~1e-5
     relative.
     """
     P = np.asarray(P, dtype=np.float64)
@@ -313,26 +314,11 @@ def expected_time_bulk(P: np.ndarray) -> np.ndarray:
     T = np.zeros(rows)
     if n == 0:
         return T
-    step = rows_chunk(n)
+    order = np.argsort(P.max(axis=1), kind="stable")
+    step = rows_chunk(n, _X_BUDGET)
     for lo in range(0, rows, step):
-        T[lo:lo + step] = _expected_times(P[lo:lo + step])
-    return T
-
-
-def _expected_times(P: np.ndarray) -> np.ndarray:
-    """T for each row of a (rows, n) block of overlaps in [0, 1).
-
-    Rows are sorted by p_max and cut into sub-blocks of about _X_BUDGET
-    overlaps, so a sub-block's live columns and retirements follow its own
-    rows rather than the widest row of the block.
-    """
-    P = -np.sort(-P, axis=1)
-    order = np.argsort(P[:, 0], kind="stable")
-    T = np.empty(len(P))
-    step = rows_chunk(P.shape[1], _X_BUDGET)
-    for lo in range(0, len(P), step):
-        rows = order[lo:lo + step]
-        T[rows] = _sub_block_times(P[rows])
+        block = order[lo:lo + step]
+        T[block] = _sub_block_times(-np.sort(-P[block], axis=1))
     return T
 
 
@@ -350,8 +336,8 @@ def _sub_block_times(P: np.ndarray) -> np.ndarray:
         lambda idx, k: _powers(logp[idx], k, top).sum(axis=1) < _DEAD, len(P)) - 1.0
     T = saturated.copy()
     start = np.zeros(len(P))                    # where each row's tail starts
-    rows = _exact_head(P, T, start, np.flatnonzero(saturated < _EXACT_HEAD), top)
-    rows = np.union1d(rows, np.flatnonzero(saturated >= _EXACT_HEAD))
+    _exact_head(P, T, start, np.flatnonzero(saturated < _EXACT_HEAD), top)
+    rows = np.flatnonzero(start == 0)           # not retired in the head
     if rows.size:
         a = np.maximum(saturated[rows], _EXACT_HEAD) + 1.0
         middle, start[rows] = _euler_maclaurin(logp[rows], a, positives[rows], top)
@@ -359,20 +345,21 @@ def _sub_block_times(P: np.ndarray) -> np.ndarray:
     return T + _closed_form_tail(logp, start, top)
 
 
-def _exact_head(P, T, start, rows, top) -> np.ndarray:
-    """Add q_k for k up to _EXACT_HEAD to T[rows]; return the rows still alive.
+def _exact_head(P, T, start, rows, top) -> None:
+    """Add q_k for k up to _EXACT_HEAD to T[rows].
 
     A row takes each step up to the first with S(k) <= _TAIL_S_THRESHOLD,
-    records that k in ``start`` and retires.  The head starts after the
-    fewest saturated steps among ``rows``: T[rows] is reset to that count,
-    and a row's own saturated steps after it add q = 1.0 exactly.  Powers
-    come by the recurrence p**(k+1) = p**k * p from p**1 = p, one rounding
-    per step, held as (columns, rows) so that the product runs over axis 0;
-    steps are taken in batches of about _X_BUDGET powers, so narrow rows
-    share one batch among many steps.
+    records that k in ``start`` and retires; a row alive after the head
+    keeps ``start`` at 0.  The head starts after the fewest saturated steps
+    among ``rows``: T[rows] is reset to that count, and a row's own
+    saturated steps after it add q = 1.0 exactly.  Powers come by the
+    recurrence p**(k+1) = p**k * p from p**1 = p, one rounding per step,
+    held as (columns, rows) so that the product runs over axis 0; steps are
+    taken in batches of about _X_BUDGET powers, so narrow rows share one
+    batch among many steps.
     """
     if not rows.size:
-        return rows
+        return
     first = int(T[rows].min())
     T[rows] = first
     p = P[rows].T.copy()
@@ -410,7 +397,6 @@ def _exact_head(P, T, start, rows, top) -> np.ndarray:
             p, pk = p.compress(keep, axis=1), pk.compress(keep, axis=1)
             if not rows.size:
                 break
-    return rows
 
 
 def _first_step(done, size: int) -> np.ndarray:

@@ -244,13 +244,16 @@ def sum_inverse_gap_concentration(dist: OverlapDistribution, n: int,
 
     beta > 0: S/n -> E[1/(1-p)] = alpha/(alpha-1) (law of large numbers;
     every law with a power tail is exactly powertail(alpha-1));
-    beta = 0: S/(n log n) -> 1;
+    beta = 0: S/(n log n) -> 1, so n must be at least 2;
     beta < 0: S/n**(1/(1+beta)) is tight with no point limit.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be >= 1")
     alpha, _ = dist.tail_parameters()
     beta = alpha - 1.0
+    if beta == 0.0 and n < 2:
+        raise ValueError("n must be >= 2 for beta = 0, whose normalizer n log n "
+                         "is 0 at n = 1")
 
     s = _map_overlap_rows(lambda P, rng: (1.0 / (1.0 - P)).sum(axis=1),
                           dist, n, trials, seed, (STREAM_ENSEMBLE, 1),

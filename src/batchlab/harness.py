@@ -116,6 +116,9 @@ class RunConfig:
         if self.command == "simulate" and self.p and self.n not in (None, len(self.p)):
             raise ConfigError(f"n = {self.n} disagrees with the {len(self.p)} "
                               f"entries of --fixed-p")
+        if self.command == "simulate" and self.p and self.dist != RunConfig.dist:
+            raise ConfigError(f"dist {self.dist} cannot be used with --fixed-p, "
+                              f"which fixes the overlaps instead of a law")
         if self.command == "simulate" and self.algorithm not in (None, *ALGORITHMS):
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, "
                               f"got {self.algorithm!r}")
@@ -133,6 +136,10 @@ class RunConfig:
             raise ConfigError("trials must be >= 2 for extremes")
         if self.command == "extremes" and not dist.has_power_tail:
             raise ConfigError(f"dist must have a power tail for extremes, got {self.dist}")
+        if (self.command == "ensemble" and self.method == "integral_asymptotic"
+                and not dist.has_power_tail):
+            raise ConfigError("dist must have a power tail for method "
+                              f"integral_asymptotic, got {self.dist}")
         if self.command == "scaling":
             ns = tuple(self.n_sweep)
             if len(ns) < 4:

@@ -294,9 +294,18 @@ class TestLargeScaleEvaluators:
         wide[::7, 10:] = 0.0
         P = np.concatenate([np.pad(narrow, ((0, 0), (0, n - 50))), wide])
         assert len(P) > 2 * rows_chunk(n, _X_BUDGET)
-        got = expected_time_bulk(P)
-        for row, t in zip(P, got):
-            assert_allclose(t, expected_time_fast(row).t, rtol=1e-12)
+        # a matrix taller than rows_chunk(4) is taken in one p_max order, so
+        # its sub-blocks mix rows from both sides of row rows_chunk(4); the
+        # rows at both ends of that order are checked
+        tall = rng.random((rows_chunk(4) + 1024, 4)) * 0.5
+        tall[1::8] = rng.random((len(tall[1::8]), 4)) ** 0.25 * 0.999
+        tall[::5, 2:] = 0.0
+        by_p_max = np.argsort(tall.max(axis=1))
+        for P, rows in ((P, range(len(P))),
+                        (tall, np.r_[by_p_max[:8], by_p_max[-8:]])):
+            got = expected_time_bulk(P)
+            for i in rows:
+                assert_allclose(got[i], expected_time_fast(P[i]).t, rtol=1e-12)
 
     def test_bulk_empty_and_edge(self):
         assert expected_time_bulk(np.empty((0, 3))).size == 0

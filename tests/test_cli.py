@@ -117,6 +117,15 @@ class TestSimulateCommand:
         code, out, _ = run_cli(base + ["--n", "2"], capsys)
         assert code == 0 and json.loads(out)["n"] == 2
 
+    def test_law_with_fixed_p_rejected(self, capsys):
+        # a fixed vector replaces the law, so a law given with it would be ignored
+        base = ["simulate", "--alg", "batch", "--fixed-p", "0.5,0.5",
+                "--trials", "3"]
+        code, out, err = run_cli(base + ["--dist", "powertail:beta=1"], capsys)
+        assert code == 2 and out == "" and err.startswith("config error: dist ")
+        code, out, _ = run_cli(base, capsys)
+        assert code == 0 and json.loads(out)["dist"] == "fixed"
+
     def test_horizon_below_one_rejected(self, capsys):
         code, _, err = run_cli(["simulate", "--alg", "memoryless", "--dist",
                                 "uniform", "--n", "5", "--trials", "5",
@@ -226,6 +235,8 @@ class TestExitCodes:
         (["ensemble", "--method", "zeta_sum", "--n", "40"], "n"),
         (["extremes", "--n-sweep", "10", "--trials", "1"], "trials"),
         (["extremes", "--n-sweep", "10", "--dist",
+          "scaled:a=0.5,inner=uniform"], "dist"),
+        (["ensemble", "--method", "integral_asymptotic", "--n", "10", "--dist",
           "scaled:a=0.5,inner=uniform"], "dist"),
         (["simulate", "--alg", "batch", "--n", "-3"], "n"),
         (["ndelta", "--p", "1.5"], "p"),

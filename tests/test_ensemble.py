@@ -255,6 +255,13 @@ class TestConcentration:
         assert cs.regime == "log"
         assert 0.7 <= cs.median <= 1.3
 
+    def test_log_regime_needs_two_overlaps(self):
+        # n log n is 0 at n = 1; other regimes normalize n = 1 finitely
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            en.sum_inverse_gap_concentration(uniform(), 1, 50, 1)
+        cs = en.sum_inverse_gap_concentration(power_tail(1.0), 1, 50, 1)
+        assert np.isfinite([cs.median, cs.iqr]).all()
+
     def test_stable_regime_ratio_stability(self):
         small = en.sum_inverse_gap_concentration(power_tail(-0.5), 100, 2000,
                                                  MASTER_SEED)
