@@ -39,7 +39,7 @@ def main():
     args = ap.parse_args()
 
     for beta, ns in [(1.0, (300, 1000)), (0.0, (300, 1000)), (-0.5, (300, 1000))]:
-        d = dist_mod.uniform() if beta == 0.0 else dist_mod.power_tail(beta)
+        d = dist_mod.power_tail(beta)
         print(f"beta = {beta}:")
         for n in ns:
             t = sample_word_counts(d, n, args.trials, args.seed)

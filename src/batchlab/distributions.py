@@ -1,14 +1,14 @@
-"""Overlap-distribution families on [0, 1].
+"""Overlap laws on [0, 1]: one two-parameter family.
 
 The behavior of every learning-time statistic in this package is governed by
-the law of the overlap probabilities near 1.  Three families are provided:
+the law of the overlap probabilities near 1.  Every law is that of a*X, where
+X has density (1+beta) * (1-x)**beta on [0, 1], beta > -1, and 0 < a <= 1:
 
-* ``uniform``      -- the uniform law on [0, 1].
-* ``powertail``    -- density (1+beta) * (1-x)**beta on [0, 1], beta > -1.
-  The tail exponent near 1 is exact (no correction term), so asymptotic
-  constants are clean.  beta = 0 reduces to the uniform law.
-* ``scaled``       -- an inner law pushed forward by x -> a*x, support [0, a].
-  For a < 1 the moments decay geometrically and there is no power tail.
+* ``powertail``    -- a = 1; ``uniform`` is beta = 0 too.  The tail exponent
+  near 1 is exact (no correction term), so asymptotic constants are clean.
+* ``scaled``       -- an inner law pushed forward by x -> a*x, support [0, a];
+  nested specs fold into one a.  For a < 1 the moments decay geometrically
+  and there is no power tail.
 
 Distribution objects are immutable and safe to share across threads; random
 streams are always passed in explicitly.
@@ -18,45 +18,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import poch
 
-UNIFORM = "uniform"
-POWERTAIL = "powertail"
-SCALED = "scaled"
 _ULP = 2.0 ** -52
 
 
 @dataclass(frozen=True)
 class OverlapDistribution:
-    """Common law of the i.i.d. overlap probabilities.
-
-    Fields mirror the CLI spec syntax ``uniform``, ``powertail:beta=<f>``,
-    ``scaled:a=<f>,inner=<spec>``.  Use the module constructors
-    :func:`uniform`, :func:`power_tail`, :func:`scaled` rather than calling
-    this directly.
+    """Common law of the i.i.d. overlap probabilities: the law of a*X, X with
+    density (1+beta) * (1-x)**beta.  ``OverlapDistribution()`` is uniform;
+    the module constructors :func:`uniform`, :func:`power_tail`,
+    :func:`scaled` mirror the CLI spec syntax ``uniform``,
+    ``powertail:beta=<f>``, ``scaled:a=<f>,inner=<spec>``.
     """
 
-    family: str
-    beta: Optional[float] = None
-    a: Optional[float] = None
-    inner: Optional["OverlapDistribution"] = None
+    beta: float = 0.0
+    a: float = 1.0
 
     def __post_init__(self):
-        if self.family == UNIFORM:
-            pass
-        elif self.family == POWERTAIL:
-            if self.beta is None or not self.beta > -1.0:
-                raise ValueError("powertail requires beta > -1 (density must be integrable)")
-        elif self.family == SCALED:
-            if self.a is None or not (0.0 < self.a <= 1.0):
-                raise ValueError("scaled requires a in (0, 1]")
-            if self.inner is None:
-                raise ValueError("scaled requires an inner distribution")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
+        if not self.beta > -1.0:
+            raise ValueError("powertail requires beta > -1 (density must be integrable)")
+        if not 0.0 < self.a <= 1.0:
+            raise ValueError("scaled requires a in (0, 1]")
 
     # ------------------------------------------------------------------
     # identity
@@ -65,11 +50,9 @@ class OverlapDistribution:
     @property
     def spec(self) -> str:
         """Canonical spec string; round-trips through :func:`parse_dist`."""
-        if self.family == UNIFORM:
-            return "uniform"
-        if self.family == POWERTAIL:
-            return f"powertail:beta={_float_text(self.beta)}"
-        return f"scaled:a={_float_text(self.a)},inner={self.inner.spec}"
+        law = ("uniform" if self.beta == 0.0
+               else f"powertail:beta={_float_text(self.beta)}")
+        return law if self.a == 1.0 else f"scaled:a={_float_text(self.a)},inner={law}"
 
     # ------------------------------------------------------------------
     # density / cdf
@@ -77,38 +60,24 @@ class OverlapDistribution:
 
     def density(self, x):
         """Density f(x); raises ValueError outside [0, 1]."""
-        x_arr, scalar = _check_domain(x)
-        out = self._density(x_arr)
-        return float(out) if scalar else out
-
-    def _density(self, x: np.ndarray) -> np.ndarray:
-        if self.family == UNIFORM:
-            return np.ones_like(x)
-        if self.family == POWERTAIL:
-            b = self.beta
-            base = 1.0 - x
-            with np.errstate(divide="ignore"):
-                out = (1.0 + b) * np.power(base, b)
-            return out
+        x, scalar = _check_domain(x)
         inside = x <= self.a
         y = np.where(inside, x / self.a, 0.0)
-        return np.where(inside, self.inner._density(y) / self.a, 0.0)
+        with np.errstate(divide="ignore"):
+            f = (1.0 + self.beta) * np.power(1.0 - y, self.beta) / self.a
+        out = np.where(inside, f, 0.0)
+        return float(out) if scalar else out
 
     def cdf(self, x):
         """CDF F(x); raises ValueError outside [0, 1]."""
-        x_arr, scalar = _check_domain(x)
-        out = self._cdf(x_arr)
-        return float(out) if scalar else out
-
-    def _cdf(self, x: np.ndarray) -> np.ndarray:
-        if self.family == UNIFORM:
-            return x.copy()
-        if self.family == POWERTAIL:
-            # F(x) = 1 - (1-x)^(1+beta); log1p(-1) = -inf gives F(1) = 1 exactly
-            with np.errstate(divide="ignore"):
-                return -np.expm1((1.0 + self.beta) * np.log1p(-x))
+        x, scalar = _check_domain(x)
         y = np.minimum(x / self.a, 1.0)
-        return self.inner._cdf(y)
+        if self.beta != 0.0:
+            # F = 1 - (1-y)^(1+beta); log1p(-1) = -inf gives F(a) = 1 exactly.
+            # At beta = 0, F is y itself, which the log form would round.
+            with np.errstate(divide="ignore"):
+                y = -np.expm1((1.0 + self.beta) * np.log1p(-y))
+        return float(y) if scalar else y
 
     # ------------------------------------------------------------------
     # sampling
@@ -130,22 +99,22 @@ class OverlapDistribution:
         return x
 
     def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.family == UNIFORM:
-            return rng.random(n)
-        if self.family == POWERTAIL:
+        x = rng.random(n)
+        if self.beta != 0.0:
             # inversion: x = 1 - (1-u)^(1/(1+beta)); ``**`` with a scalar
             # exponent takes numpy's fast paths (sqrt at beta = 1, square at
-            # beta = -0.5) where np.power always calls pow
-            u = rng.random(n)
-            return 1.0 - (1.0 - u) ** (1.0 / (1.0 + self.beta))
-        return self.a * self.inner._sample(n, rng)
+            # beta = -0.5) where np.power always calls pow; at beta = 0 it is u
+            x = 1.0 - (1.0 - x) ** (1.0 / (1.0 + self.beta))
+        if self.a != 1.0:
+            x *= self.a
+        return x
 
     # ------------------------------------------------------------------
     # moments
     # ------------------------------------------------------------------
 
     def moment(self, k: int) -> float:
-        """k-th moment m_k = E[X^k], k >= 1.  Closed form for every family."""
+        """k-th moment m_k = E[X^k], k >= 1.  Closed form for every law."""
         if k < 1:
             raise ValueError("k must be >= 1")
         return float(self.moments(np.asarray([k], dtype=np.float64))[0])
@@ -158,22 +127,21 @@ class OverlapDistribution:
         :func:`batchlab.moment_zeta.mellin` relies on this.
         """
         k = np.asarray(k, dtype=np.float64)
-        if self.family == UNIFORM:
-            return 1.0 / (k + 1.0)
-        if self.family == POWERTAIL:
-            b = self.beta
-            if b == int(b) and b >= 0:
-                # m_k = Gamma(beta+2) / prod_{j=1}^{beta+1} (k+j)
-                denom = np.ones_like(k)
-                for j in range(1, int(b) + 2):
-                    denom *= k + j
-                return math.gamma(b + 2.0) / denom
+        b = self.beta
+        if b == int(b) and b >= 0:
+            # m_k = Gamma(beta+2) / prod_{j=1}^{beta+1} (k+j), 1/(k+1) at beta = 0
+            denom = k + 1.0
+            for j in range(2, int(b) + 2):
+                denom *= k + j
+            m = math.gamma(b + 2.0) / denom
+        else:
             # poch(k+1, b+1) = Gamma(k+b+2)/Gamma(k+1); a gammaln difference
             # loses ~1e-16 * k*log(k) to cancellation
-            return math.gamma(b + 2.0) / poch(k + 1.0, b + 1.0)
-        # scaled: E[(aY)^k] = a^k m_k(inner); exact, no quadrature needed
+            m = math.gamma(b + 2.0) / poch(k + 1.0, b + 1.0)
+        if self.a == 1.0:
+            return m
         with np.errstate(under="ignore"):
-            return np.power(self.a, k) * self.inner.moments(k)
+            return np.power(self.a, k) * m
 
     @property
     def moment_rtol(self) -> float:
@@ -181,11 +149,10 @@ class OverlapDistribution:
         the range the moment series and the batch-time quantile visit: the
         rational forms round once per factor; ``poch`` measured <= 4.5e-11,
         the largest near k = 1e4 (against 40-digit mpmath, beta in -0.9,
-        -0.5, 0.3, 0.5, 2.5, 3.7)."""
-        if self.family == SCALED:
-            return self.inner.moment_rtol + _ULP
-        b = self.beta if self.family == POWERTAIL else 0.0
-        return (b + 3.0) * _ULP if b == int(b) and b >= 0 else 1e-10
+        -0.5, 0.3, 0.5, 2.5, 3.7).  The factor a**k adds one rounding."""
+        b = self.beta
+        rtol = (b + 3.0) * _ULP if b == int(b) and b >= 0 else 1e-10
+        return rtol if self.a == 1.0 else rtol + _ULP
 
     # ------------------------------------------------------------------
     # tail behavior
@@ -193,9 +160,7 @@ class OverlapDistribution:
 
     @property
     def has_power_tail(self) -> bool:
-        if self.family == SCALED:
-            return self.a == 1.0 and self.inner.has_power_tail
-        return True
+        return self.a == 1.0
 
     def tail_parameters(self) -> tuple[float, float]:
         """(alpha, c) with m_k ~ c * k**(-alpha) as k -> infinity.
@@ -208,13 +173,9 @@ class OverlapDistribution:
         Raises ValueError("no power tail") for scaled support with a < 1,
         whose moments decay geometrically.
         """
-        if self.family == UNIFORM:
-            return 1.0, 1.0
-        if self.family == POWERTAIL:
-            return self.beta + 1.0, math.gamma(self.beta + 2.0)
-        if self.a == 1.0:
-            return self.inner.tail_parameters()
-        raise ValueError("no power tail: scaled support a < 1 has geometric moment decay")
+        if self.a != 1.0:
+            raise ValueError("no power tail: scaled support a < 1 has geometric moment decay")
+        return self.beta + 1.0, math.gamma(self.beta + 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -223,15 +184,19 @@ class OverlapDistribution:
 
 
 def uniform() -> OverlapDistribution:
-    return OverlapDistribution(UNIFORM)
+    return OverlapDistribution()
 
 
 def power_tail(beta: float) -> OverlapDistribution:
-    return OverlapDistribution(POWERTAIL, beta=float(beta))
+    return OverlapDistribution(float(beta))
 
 
 def scaled(a: float, inner: OverlapDistribution) -> OverlapDistribution:
-    return OverlapDistribution(SCALED, a=float(a), inner=inner)
+    """The law of a*Y for Y drawn from ``inner``, 0 < a <= 1."""
+    a = float(a)
+    if not 0.0 < a <= 1.0:
+        raise ValueError("scaled requires a in (0, 1]")
+    return OverlapDistribution(inner.beta, a * inner.a)
 
 
 def parse_dist(spec: str) -> OverlapDistribution:
@@ -272,8 +237,8 @@ def _parse_float(text: str, spec: str) -> float:
 
 
 def _check_domain(x):
+    """(x as float64, is scalar); NaN fails the range test like x outside [0, 1]."""
     x_arr = np.asarray(x, dtype=np.float64)
-    scalar = x_arr.ndim == 0
-    if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
+    if x_arr.size and not (x_arr.min() >= 0.0 and x_arr.max() <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    return x_arr, scalar
+    return x_arr, x_arr.ndim == 0

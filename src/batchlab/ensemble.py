@@ -208,7 +208,7 @@ def expected_time_integral(dist: OverlapDistribution, n: int) -> float:
     and 4.9% (beta = 2).  ROADMAP item G is the two-term expansion.
     """
     if not dist.has_power_tail:
-        raise DivergenceError("limit integral requires a power-tail family")
+        raise ValueError("limit integral needs a power-tail family")
     alpha, c = dist.tail_parameters()
     if alpha <= 1.0:
         raise DivergenceError(f"limit integral diverges for alpha = {alpha:g} <= 1")

@@ -332,7 +332,7 @@ def run_scaling(config: RunConfig) -> ScalingReport:
 
     fit = fit_loglog(config.n_sweep, values)
     if method == "mc_median":
-        ci = _bootstrap_exponent_ci(config, samples, values, fit)
+        ci = _bootstrap_exponent_ci(config, samples, fit)
     else:
         ci = _jackknife_exponent_ci(config.n_sweep, values, fit)
     return ScalingReport(
@@ -344,7 +344,7 @@ def run_scaling(config: RunConfig) -> ScalingReport:
         trials=config.trials, seed=config.seed)
 
 
-def _bootstrap_exponent_ci(config, samples, values, fit) -> tuple:
+def _bootstrap_exponent_ci(config, samples, fit) -> tuple:
     """Percentile CI over per-point trial resamples (200 bootstrap fits)."""
     rng = derive_rng(config.seed, STREAM_SCALING, 0)
     keep = [i for i, n in enumerate(config.n_sweep)

@@ -284,12 +284,14 @@ class TestLargeScaleEvaluators:
         # first steps at one end and rows saturated past the head at the other
         n = 1000
         narrow = np.concatenate([rng.random((6, 50)) * 0.9,
-                                 1.0 - rng.random((6, 50)) ** 3 * 1e-2,
+                                 np.minimum(1.0 - rng.random((6, 50)) ** 3 * 1e-2,
+                                            1 - 2**-53),
                                  rng.random((6, 50)) ** 0.25])
         narrow[::4, 10:] = 0.0
         wide = np.concatenate([rng.random((50, n)) * 1e-3,
                                rng.random((50, n)) * 0.9,
-                               1.0 - rng.random((25, n)) ** 3 * 1e-2,
+                               np.minimum(1.0 - rng.random((25, n)) ** 3 * 1e-2,
+                                          1 - 2**-53),
                                rng.random((25, n)) ** 0.25])
         wide[::7, 10:] = 0.0
         P = np.concatenate([np.pad(narrow, ((0, 0), (0, n - 50))), wide])

@@ -11,34 +11,24 @@ from scipy.integrate import quad
 
 from batchlab.distributions import parse_dist, power_tail, scaled, uniform
 
-FAMILIES = [
-    uniform(),
-    power_tail(0.0),
-    power_tail(1.0),
-    power_tail(3.0),
-    power_tail(-0.5),
-    scaled(0.5, power_tail(1.0)),
-]
+# ids are the specs the laws are parsed from; powertail:beta=0 is uniform
+FAMILIES = [pytest.param(parse_dist(spec), id=spec) for spec in (
+    "uniform", "powertail:beta=0", "powertail:beta=1", "powertail:beta=3",
+    "powertail:beta=-0.5", "scaled:a=0.5,inner=powertail:beta=1")]
 
 
 def quad_moment(dist, k):
     """Independent quadrature oracle for m_k = integral of x**k against the
     density, at any real order k > -1.
 
-    A Gauss-Jacobi weight x**k * (1-x)**beta carries both endpoint factors
-    (for the power families (1-x)**beta is the family definition, not the
-    code under test); the scaled family reduces by the change of variables
-    x -> a*y.
+    The law of a*X reduces by the change of variables x -> a*y to a**k times
+    a moment of X.  A Gauss-Jacobi weight y**k * (1-y)**beta carries both
+    endpoint factors of X's density (1+beta) * (1-y)**beta, which is the
+    family definition, not the code under test.
     """
-    if dist.family == "scaled":
-        return dist.a**k * quad_moment(dist.inner, k)
-    if dist.family == "powertail":
-        b, f = dist.beta, (lambda x: 1.0 + dist.beta)
-    else:
-        b, f = 0.0, dist.density
-    val, _ = quad(f, 0.0, 1.0, weight="alg", wvar=(k, b),
-                  epsabs=1e-13, epsrel=1e-12)
-    return val
+    val, _ = quad(lambda y: 1.0 + dist.beta, 0.0, 1.0, weight="alg",
+                  wvar=(k, dist.beta), epsabs=1e-13, epsrel=1e-12)
+    return dist.a**k * val
 
 
 class TestDensityCdf:
@@ -59,11 +49,11 @@ class TestDensityCdf:
         assert_allclose(pt.density(x), u.density(x), atol=1e-14)
         assert_allclose(pt.cdf(x), u.cdf(x), atol=1e-14)
 
-    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.spec)
+    @pytest.mark.parametrize("dist", FAMILIES)
     def test_density_integrates_to_one(self, dist):
         assert_allclose(quad_moment(dist, 0), 1.0, atol=1e-9)
 
-    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.spec)
+    @pytest.mark.parametrize("dist", FAMILIES)
     def test_cdf_monotone_and_normalized(self, dist):
         x = np.linspace(0.0, 1.0, 501)
         c = dist.cdf(x)
@@ -84,10 +74,25 @@ class TestDensityCdf:
         with pytest.raises(ValueError):
             uniform().cdf(-0.1)
 
+    @pytest.mark.parametrize("dist", [uniform(), power_tail(1.0),
+                                      scaled(0.5, power_tail(-0.5))])
+    def test_nan_is_outside_the_domain(self, dist):
+        for x in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                dist.density(x)
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                dist.cdf(x)
+        assert dist.cdf(np.empty(0)).shape == (0,)
+
 
 class TestSampling:
     def test_empty(self, rng):
         assert uniform().sample(0, rng).shape == (0,)
+
+    def test_uniform_draws_are_the_generator_stream(self):
+        # beta = 0 and a = 1 leave the generator's uniforms untouched
+        x = uniform().sample(1000, np.random.default_rng(5))
+        assert np.array_equal(x, np.random.default_rng(5).random(1000))
 
     def test_uniform_mean(self, rng):
         x = uniform().sample(10**5, rng)
@@ -100,13 +105,13 @@ class TestSampling:
         x = pt.sample(10**5, rng)
         assert abs(x.mean() - m1) < 0.005
 
-    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.spec)
+    @pytest.mark.parametrize("dist", FAMILIES)
     def test_samples_in_range(self, dist, rng):
         x = dist.sample(20000, rng)
         assert x.min() >= 0.0
         assert x.max() < 1.0
 
-    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.spec)
+    @pytest.mark.parametrize("dist", FAMILIES)
     def test_sampler_matches_cdf_dkw(self, dist, rng):
         # Dvoretzky-Kiefer-Wolfowitz band at 99% confidence
         n = 10**5
@@ -123,24 +128,31 @@ class TestMoments:
     def test_uniform_k2(self):
         assert_allclose(uniform().moment(2), 1.0 / 3.0, rtol=1e-15)
 
+    def test_integer_beta_moments_are_the_rational_forms(self):
+        # bit for bit: the product starts at k + 1 and a**k is skipped at a = 1
+        k = np.arange(1, 2001, dtype=np.float64)
+        assert np.array_equal(uniform().moments(k), 1.0 / (k + 1.0))
+        assert np.array_equal(power_tail(1.0).moments(k),
+                              2.0 / ((k + 1.0) * (k + 2.0)))
+
     def test_powertail_closed_forms(self):
         pt = power_tail(1.0)
         assert_allclose(pt.moment(1), 1.0 / 3.0, rtol=1e-12)
         assert_allclose(pt.moment(3), 0.1, rtol=1e-12)  # 2/((k+1)(k+2)) at k=3
 
-    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.spec)
+    @pytest.mark.parametrize("dist", FAMILIES)
     @pytest.mark.parametrize("k", [1, 2, 7, 25, 100])
     def test_moment_matches_quadrature(self, dist, k):
         assert_allclose(dist.moment(k), quad_moment(dist, k),
                         rtol=1e-10, atol=1e-300)
 
-    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.spec)
+    @pytest.mark.parametrize("dist", FAMILIES)
     def test_moment_monotone_decreasing(self, dist):
         ks = np.arange(1, 10001, dtype=np.float64)
         m = dist.moments(ks)
         assert np.all(np.diff(m) <= 0.0)
 
-    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.spec)
+    @pytest.mark.parametrize("dist", FAMILIES)
     def test_moment_log_convex(self, dist):
         # Cauchy-Schwarz: m_k**2 <= m_{k-1} m_{k+1}
         ks = np.arange(1, 2002, dtype=np.float64)
@@ -208,13 +220,27 @@ class TestTailParameters:
         assert sc.tail_parameters() == power_tail(1.0).tail_parameters()
 
 
+class TestFold:
+    def test_powertail_beta0_is_uniform(self):
+        assert uniform() == power_tail(0.0)
+        assert power_tail(0.0).spec == "uniform"
+
+    @pytest.mark.parametrize("dist", FAMILIES)
+    def test_scaled_by_one_is_the_inner_law(self, dist):
+        assert scaled(1.0, dist) == dist
+
+    def test_nested_scaled_folds(self):
+        dist = parse_dist("scaled:a=0.25,inner=scaled:a=0.5,inner=uniform")
+        assert dist == scaled(0.125, uniform())
+        assert dist.spec == "scaled:a=0.125,inner=uniform"
+
+
 class TestSpecStrings:
     @pytest.mark.parametrize("spec", [
         "uniform",
         "powertail:beta=1",
         "powertail:beta=-0.5",
         "scaled:a=0.5,inner=powertail:beta=2",
-        "scaled:a=0.25,inner=scaled:a=0.5,inner=uniform",
         "powertail:beta=0.1234567",
         "scaled:a=0.99999999,inner=uniform",
         "powertail:beta=1e-07",

@@ -234,6 +234,16 @@ class TestIntegralRoute:
         with pytest.raises(DivergenceError):
             en.expected_time_integral(uniform(), 100)
 
+    def test_no_power_tail_is_a_value_error(self):
+        # a < 1 has no tail constant to integrate; nothing diverges
+        d = scaled(0.5, uniform())
+        with pytest.raises(ValueError, match="power-tail") as direct:
+            en.expected_time_integral(d, 100)
+        with pytest.raises(ValueError, match="power-tail") as routed:
+            en.ensemble_estimate(d, 100, "integral_asymptotic")
+        for exc in (direct, routed):
+            assert not isinstance(exc.value, DivergenceError)
+
 
 class TestConcentration:
     def test_lln_regime(self):
