@@ -2,7 +2,9 @@
 
 The behavior of every learning-time statistic in this package is governed by
 the law of the overlap probabilities near 1.  Every law is that of a*X, where
-X has density (1+beta) * (1-x)**beta on [0, 1], beta > -1, and 0 < a <= 1:
+X has density (1+beta) * (1-x)**beta on [0, 1], and 0 < a <= 1.  beta > -1
+makes the density integrable, and beta < 169.6 keeps Gamma(beta+2), the
+constant of the moments, finite:
 
 * ``powertail``    -- a = 1; ``uniform`` is beta = 0 too.  The tail exponent
   near 1 is exact (no correction term), so asymptotic constants are clean.
@@ -40,6 +42,13 @@ class OverlapDistribution:
     def __post_init__(self):
         if not self.beta > -1.0:
             raise ValueError("powertail requires beta > -1 (density must be integrable)")
+        try:
+            c = math.gamma(self.beta + 2.0)     # inf at beta = inf
+        except OverflowError:
+            c = math.inf
+        if c == math.inf:
+            raise ValueError(f"powertail beta = {self.beta:g} is too large: "
+                             "Gamma(beta + 2), the moments' constant, overflows")
         if not 0.0 < self.a <= 1.0:
             raise ValueError("scaled requires a in (0, 1]")
 

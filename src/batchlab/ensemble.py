@@ -15,8 +15,9 @@ T1 = sum(1/(1-p_i) - 1) and a finite deterministic part T2 whose n*log(n)
 growth cancels the center of T1.  ``alpha1_decomposition`` computes T2 and
 the c*n*log(n) component, c = lim j*m_j from ``tail_parameters``.  The
 moment series and T2 are cut by the driver and tail bracket of zeta_F
-(:mod:`batchlab.moment_zeta`), each tail a Bonferroni combination of the
-certified tails of sum m_j, m_j**2 and m_j**3.
+(:mod:`batchlab.moment_zeta`), each tail bracketed by the Bonferroni partial
+sums of its inclusion-exclusion expansion over the certified tails of
+sum m_j**r, r = 1, 2, ..., to whatever order the terms themselves call for.
 
 Extreme-value and concentration diagnostics round out the picture: the
 smallest gap min(1 - p_i) has the exact law P(min q > x) = (1 - x**alpha)**n
@@ -36,7 +37,7 @@ import numpy as np
 from . import calibration
 # expected_time_fast is unused here; bench/layertrace.py wraps it in this module
 from .batch_exact import expected_time_bulk, expected_time_fast  # noqa: F401
-from .distributions import OverlapDistribution
+from .distributions import _ULP, OverlapDistribution
 from .errors import DivergenceError, PrecisionLossError
 from .moment_zeta import _certified_sum, zeta
 # bench/layertrace.py patches map_chunks in this module, so the name stays
@@ -118,15 +119,19 @@ def expected_time_moment_series(dist: OverlapDistribution, n: int,
                                 eps: float = 1e-6) -> MomentSeriesTime:
     """T = sum_{j>=1} [1 - (1-m_j)**n], with truncation error at most eps.
 
-    Terms use expm1/log1p forms.  A discarded term lies between the
-    Bonferroni bounds n*m - C(n,2)*m**2 and that plus C(n,3)*m**3, so the
-    certified tails of sum m_j**s, s = 1, 2, 3, bracket the tail; J doubles
-    from 1000 until the half-width is at most eps/2, and the midpoint is
-    added.  ``error_bound`` adds moment_rtol * |value| (a term's relative
-    sensitivity to m, n*m*(1-m)**(n-1) / (1-(1-m)**n), is at most 1),
-    summation rounding and 2**-52 * alpha/(alpha-1) of the tail for the
-    rounding of alpha, so it is never 0.  Diverges (DivergenceError) for
-    alpha <= 1, where sum n*m_j is infinite: use :func:`alpha1_decomposition`.
+    Terms use expm1/log1p forms.  A discarded term 1 - (1-m)**n is
+    bracketed by the Bonferroni partial sums of
+    sum_{r>=1} (-1)**(r-1) C(n,r) m**r, so the certified tails of
+    sum m_j**r bracket the tail (:func:`_bonferroni_bracket`); J doubles from
+    1000 until the half-width is at most eps/2, and the midpoint is added.
+    The half-width is about n*J**(-1-alpha), so J grows like
+    (n/eps)**(1/(alpha+1)): 2,048,000 at beta = 0.5, n = 1e7, eps = 1e-9.
+    ``error_bound`` adds moment_rtol * |value| (a term's relative
+    sensitivity to m, n*m*(1-m)**(n-1) / (1-(1-m)**n), is at most 1), the
+    tail's sensitivity to the error of m_J, summation rounding and
+    2**-52 * alpha/(alpha-1) of the tail for the rounding of alpha, so it is
+    never 0.  Diverges (DivergenceError) for alpha <= 1, where sum n*m_j is
+    infinite: use :func:`alpha1_decomposition`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -138,16 +143,9 @@ def expected_time_moment_series(dist: OverlapDistribution, n: int,
             raise DivergenceError(
                 f"E[T] does not exist for alpha = {alpha:g} <= 1; "
                 "the series tail sum n*m_j diverges (see alpha1_decomposition)")
-    pairs, triples = math.comb(n, 2), math.comb(n, 3)
-
-    def bracket(tail):
-        (s1_lo, s1_hi), (s2_lo, s2_hi), (_, s3_hi) = tail(1.0), tail(2.0), tail(3.0)
-        return (n * s1_lo - pairs * s2_hi,
-                n * s1_hi - pairs * s2_lo + triples * s3_hi)
-
-    value, j_used, bound = _certified_sum(
-        dist, lambda m: -np.expm1(n * np.log1p(-m)), bracket,
-        lambda partial: eps, 1.0, "moment series")
+    value, j_used, bound = _binomial_series(
+        dist, n, 1, lambda m: -np.expm1(n * np.log1p(-m)), lambda partial: eps,
+        "moment series")
     return MomentSeriesTime(value, j_used, bound)
 
 
@@ -161,13 +159,15 @@ def alpha1_decomposition(dist: OverlapDistribution, n: int,
     """T2 = -sum_j [(1-m_j)**n - 1 + n m_j], finite at alpha = 1, plus the
     c*n*log(n) component with c = lim j*m_j from ``tail_parameters``.
 
-    T2 grows like -(n log n - const*n).  Each discarded term lies between
-    C(n,2)*m**2 - C(n,3)*m**3 and C(n,2)*m**2, so the tail is bracketed by
-    the certified tails of sum m_j**2 and m_j**3.  ``eps`` bounds the
-    truncation error (default: 1e-8 relative to the running sum; the tail
-    shrinks like n**3/J**2, so tight absolute targets at large n are
-    expensive).  ``error_bound`` adds a rounding allowance.  Requires n >= 2
-    and a tail exponent of exactly 1.
+    T2 grows like -(n log n - const*n).  A discarded term
+    (1-m)**n - 1 + n*m = sum_{r>=2} (-1)**r C(n,r) m**r is bracketed by its
+    Bonferroni partial sums, so the certified tails of sum m_j**r, r >= 2,
+    bracket the tail (:func:`_bonferroni_bracket`).  ``eps`` bounds the
+    truncation error (default: 1e-8 relative to the running sum).  The
+    half-width is about n**2/J**3, so J grows like (n**2/eps)**(1/3): an
+    absolute eps = 1e-6 at n = 1e7 takes about 0.2 s.  ``error_bound`` adds
+    the tail's sensitivity to the error of m_J and a rounding allowance.
+    Requires n >= 2 and a tail exponent of exactly 1.
     """
     if n < 2:
         raise ValueError("n must be >= 2 for the alpha = 1 split")
@@ -176,21 +176,87 @@ def alpha1_decomposition(dist: OverlapDistribution, n: int,
     alpha, c = dist.tail_parameters()
     if abs(alpha - 1.0) > 1e-12:
         raise ValueError(f"alpha = 1 split is only valid at alpha = 1, got {alpha:g}")
-    pairs, triples = math.comb(n, 2), math.comb(n, 3)
-
-    def bracket(tail):
-        (s2_lo, s2_hi), (_, s3_hi) = tail(2.0), tail(3.0)
-        return pairs * s2_lo - triples * s3_hi, pairs * s2_hi
 
     def goal(partial):
         return eps if eps is not None else 1e-8 * max(1.0, abs(partial))
 
-    # |d log term / d log m| <= 2: the term is convex in m with a falling slope
-    value, _, bound = _certified_sum(
-        dist, lambda m: np.expm1(n * np.log1p(-m)) + n * m, bracket, goal,
-        2.0, "alpha = 1 split")
+    value, _, bound = _binomial_series(
+        dist, n, 2, lambda m: np.expm1(n * np.log1p(-m)) + n * m, goal,
+        "alpha = 1 split")
     return Alpha1Decomposition(t2=-value, c_log_term=c * n * math.log(n),
                                c=c, error_bound=bound)
+
+
+# ----------------------------------------------------------------------
+# binomial moment sums and their Bonferroni tail brackets
+# ----------------------------------------------------------------------
+
+
+def _binomial_series(dist, n, first, term, goal, what):
+    """(value, J, error_bound) for sum_j term(m_j), where
+    term(m) = sum_{r>=first} (-1)**(r-first) C(n,r) m**r, first = 1 or 2.
+
+    ``_certified_sum`` cuts the sum at J with :func:`_bonferroni_bracket` on
+    the tail.  Such a term is ~ m**first as m -> 0 and
+    |d log term / d log m| <= first (it is concave for first = 1, and convex
+    with a falling slope for first = 2).  The error of m_J moves the tail of
+    order r by at most r*moment_rtol relative, so ``error_bound`` adds
+    moment_rtol times the tail's sensitivity; the stop rule ignores it, like
+    the other rounding.
+    """
+    sensitivity = 0.0
+
+    def bracket(tail):
+        nonlocal sensitivity
+        lower, upper, sensitivity = _bonferroni_bracket(n, tail, first)
+        return lower, upper
+
+    value, j_used, bound = _certified_sum(dist, term, bracket, goal,
+                                          float(first), what)
+    return value, j_used, bound + dist.moment_rtol * sensitivity
+
+
+def _bonferroni_bracket(n, tail, first):
+    """(lower, upper, sensitivity) for sum_{r>=first} (-1)**(r-first) C(n,r) S_r,
+    given tail(r) = [lo, hi] on each S_r = sum_j m_j**r with 0 <= m_j < 1.
+
+    For each m the sum is 1 - (1-m)**n (first = 1) or (1-m)**n - 1 + n*m
+    (first = 2), and 1 - (1-m)**n is the chance of a union of n independent
+    events of chance m.  By the Bonferroni inequalities every partial sum
+    that ends on a + term bounds it above and every one that ends on a -
+    term below; at r = n the partial sum is exact.  An upper bound takes hi
+    on + terms and lo on - terms, a lower bound the reverse; the tightest of
+    each is kept, widened by the rounding of C(n,r) (a running product of
+    (n-r+1)/r), the terms and their sums.  The expansion stops at r = n,
+    when a term stops shrinking or when it falls below one ulp of the
+    partial sum.  ``sensitivity`` is sum_r r*C(n,r)*hi_r over the orders
+    visited: the move of the bracket per unit relative error of the m_j.
+    """
+    lower, upper = -math.inf, math.inf
+    up = down = gross = rounding = sensitivity = 0.0
+    binom, previous = 1.0, math.inf
+    for r in range(1, n + 1):
+        binom *= (n - r + 1) / r
+        if r < first:
+            continue
+        lo, hi = tail(float(r))
+        t_lo, t_hi = binom * lo, binom * hi
+        plus = (r - first) % 2 == 0
+        if plus:
+            up, down = up + t_hi, down + t_lo
+        else:
+            up, down = up - t_lo, down - t_hi
+        gross += t_hi
+        rounding += _ULP * ((r + 1) * t_hi + gross)
+        sensitivity += r * t_hi
+        if (plus or r == n) and up + rounding < upper:
+            upper = up + rounding
+        if (not plus or r == n) and down - rounding > lower:
+            lower = down - rounding
+        if r > first and not (t_hi < previous and t_hi > _ULP * abs(up)):
+            break
+        previous = t_hi
+    return lower, upper, sensitivity
 
 
 # ----------------------------------------------------------------------

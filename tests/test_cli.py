@@ -251,6 +251,17 @@ class TestExitCodes:
         assert err.startswith(f"config error: {field} ")
 
     @pytest.mark.parametrize("args", [
+        ["zeta", "--dist", "powertail:beta=inf", "--s", "2"],
+        ["zeta", "--dist", "powertail:beta=1e300", "--s", "2"],
+        ["simulate", "--alg", "batch", "--dist", "powertail:beta=inf", "--n", "5",
+         "--trials", "3"],
+    ], ids=lambda v: " ".join(v))
+    def test_beta_whose_moments_overflow_is_config_error(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: powertail beta = ")
+
+    @pytest.mark.parametrize("args", [
         ["zeta", "--s", "2", "--format", "csv"],
         ["exact-time", "--p", "0.5", "--format", "csv"],
         ["ndelta", "--p", "0.5", "--format", "csv"],

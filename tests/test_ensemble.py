@@ -1,13 +1,14 @@
 """Ensemble expectations, the alpha = 1 split, extremes, and sandwich checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import quad
 
 from batchlab import ensemble as en
@@ -133,6 +134,18 @@ class TestMomentSeriesRoute:
             assert 0.0 < r.error_bound
             assert abs(r.value - want) <= r.error_bound
 
+    def test_high_orders_cut_the_series_early(self):
+        # a tail bracket cut at C(n,3) m**3 needs J = 1,024,000 here
+        r = en.expected_time_moment_series(power_tail(0.5), 10**5, eps=1e-6)
+        assert r.j_used <= 65536
+
+    def test_tight_eps_at_large_n(self):
+        # a tail bracket cut at C(n,3) m**3 stalls at J = 2**26 here
+        d = power_tail(0.5)
+        tight = en.expected_time_moment_series(d, 10**7, eps=1e-9)
+        loose = en.expected_time_moment_series(d, 10**7, eps=1e-6)
+        assert abs(tight.value - loose.value) <= tight.error_bound + loose.error_bound
+
     def test_truncation_honesty(self):
         loose = en.expected_time_moment_series(power_tail(1.0), 50, eps=1e-4)
         tight = en.expected_time_moment_series(power_tail(1.0), 50, eps=1e-9)
@@ -156,6 +169,16 @@ class TestAlpha1Split:
         # T2 = -sum m_j^2 = -(pi^2/6 - 1)
         r = en.alpha1_decomposition(uniform(), 2, eps=1e-9)
         assert_allclose(r.t2, -(math.pi**2 / 6.0 - 1.0), atol=1e-8)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_against_zeta_sum(self, n):
+        # T2 = sum_{k=2}^n C(n,k) (-1)**(k-1) zeta_F(k), zeta_F(k) = zeta(k, 2)
+        terms = [math.comb(n, k) * (-1) ** (k - 1) * special.zeta(k, 2)
+                 for k in range(2, n + 1)]
+        want = math.fsum(terms)
+        cancellation = 2.0 ** -52 * math.fsum(abs(t) for t in terms)
+        r = en.alpha1_decomposition(uniform(), n, eps=1e-12)
+        assert abs(r.t2 - want) <= r.error_bound + cancellation
 
     def test_log_constant_extraction(self):
         r = en.alpha1_decomposition(uniform(), 2)
@@ -194,6 +217,58 @@ class TestAlpha1Split:
         t_over_n = expected_time_bulk(P) / n
         trimmed = stats.trim_mean(t_over_n, 0.05)
         assert 0.5 <= trimmed <= 5.0
+
+
+def _exact_binomial_sum(m, n, first):
+    """sum over m of 1 - (1-m)**n (first = 1) or (1-m)**n - 1 + n*m, exactly."""
+    total = sum(1 - (1 - Fraction(x)) ** n for x in m)
+    return total if first == 1 else n * sum(map(Fraction, m)) - total
+
+
+class TestBonferroniBracket:
+    # below 1e-100 the powers m**s the expansion reaches can underflow, and
+    # fsum(m**s) then no longer holds sum m**s
+    @given(n=st.integers(min_value=1, max_value=200),
+           m=st.lists(st.just(0.0) | st.floats(min_value=1e-100, max_value=1.0,
+                                               exclude_max=True),
+                      min_size=1, max_size=20),
+           first=st.sampled_from([1, 2]))
+    @settings(max_examples=300, deadline=None)
+    def test_contains_the_sum(self, n, m, first):
+        powers = np.asarray(m)
+
+        def tail(s):
+            return [math.fsum(powers ** s)] * 2
+
+        lower, upper, _ = en._bonferroni_bracket(n, tail, first)
+        assert lower <= _exact_binomial_sum(m, n, first) <= upper
+
+    @given(n=st.integers(min_value=2, max_value=50),
+           m=st.lists(st.floats(min_value=1e-3, max_value=0.5), min_size=1,
+                      max_size=5),
+           first=st.sampled_from([1, 2]), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_takes_the_outer_end_of_each_tail(self, n, m, first, data):
+        # tails that hold the sum anywhere inside a wide [lo, hi]
+        powers = np.asarray(m)
+        slack = st.floats(min_value=0.0, max_value=0.5)
+
+        def tail(s):
+            v = math.fsum(powers ** s)
+            return v * (1.0 - data.draw(slack)), v * (1.0 + data.draw(slack))
+
+        lower, upper, _ = en._bonferroni_bracket(n, tail, first)
+        assert lower <= _exact_binomial_sum(m, n, first) <= upper
+
+    @pytest.mark.parametrize("n,first", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_exact_where_the_expansion_ends(self, n, first):
+        m = [0.9, 0.5, 0.25, 1e-3]
+        powers = np.asarray(m)
+        lower, upper, _ = en._bonferroni_bracket(
+            n, lambda s: [math.fsum(powers ** s)] * 2, first)
+        want = _exact_binomial_sum(m, n, first)
+        assert lower <= want <= upper
+        assert upper - lower <= 1e-14 * max(1.0, abs(float(want)))
 
 
 class TestIntegralRoute:

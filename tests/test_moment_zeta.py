@@ -72,6 +72,13 @@ class TestZetaValues:
         z = zeta(uniform(), 3.0, eps=1e-9)
         assert_allclose(z.value, direct_sum_oracle(uniform(), 3.0), atol=1e-8)
 
+    @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0])
+    def test_uniform_is_hurwitz_zeta(self, s):
+        # m_k = 1/(k+1), so zeta_F(s) = zeta(s, 2)
+        from scipy.special import zeta as hurwitz
+        z = zeta(uniform(), s)
+        assert abs(z.value - hurwitz(s, 2.0)) <= z.error_bound
+
     def test_powertail_telescoping(self):
         # sum 2/((k+1)(k+2)) telescopes to 1 exactly
         z = zeta(power_tail(1.0), 1.0, eps=1e-9)
