@@ -8,8 +8,7 @@ the asymptotic exponents at desk scale.
 """
 
 from .batch_exact import (TimeEstimate, coarse_bounds, expected_time_fast,
-                          expected_time_series, expected_time_subsets, n_delta,
-                          sandwich, survival)
+                          expected_time_series, n_delta, sandwich, survival)
 from .distributions import OverlapDistribution, parse_dist, power_tail, scaled, uniform
 from .ensemble import (RegimeWindowReport, Alpha1Decomposition, ConcentrationSummary,
                        EnsembleEstimate, ExtremeValueReport,
@@ -25,8 +24,7 @@ from .harness import (ComparisonTable, LogLogFit, RunConfig, ScalingReport,
 from .moment_zeta import (ZetaExpectationCheck, ZetaValue, mellin,
                           verify_zeta_expectation, zeta)
 from .simulators import (TrialBatch, batch_time_quantile, empirical_n_delta,
-                         run_trials, simulate_batch, simulate_batch_wordlevel,
-                         simulate_full_memory, simulate_memoryless)
+                         run_trials)
 
 __version__ = "0.1.0"
 

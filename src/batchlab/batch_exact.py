@@ -1,20 +1,16 @@
 """Deterministic learning-time computations for a fixed overlap vector.
 
 For overlaps p = (p_1, ..., p_n), all < 1, the batch learner survives step k
-with probability q_k = 1 - prod_i (1 - p_i**k).  Two independent exact
-formulas for the expected time are implemented:
+with probability q_k = 1 - prod_i (1 - p_i**k).  The exact expected time
+is the step-sum T = sum_{k>=1} q_k (series with geometric tail bound); the
+tests check it to full precision against the inclusion-exclusion subset
+sum over nonempty S of (-1)**(|S|-1) * p_S/(1 - p_S), p_S the product over
+S, in ``tests/oracles.py``.  Note the off-by-one between the two natural
+"time" conventions: the expected number of teacher words consumed is
+E[k0] = 1 + T for n >= 1 (the k = 0 term of the tail-sum identity), so
+both are returned.  Simulator comparisons use ``steps_expectation``.
 
-* the step-sum T = sum_{k>=1} q_k  (series with geometric tail bound), and
-* the inclusion-exclusion subset sum over nonempty S of
-  (-1)**(|S|-1) * p_S/(1 - p_S), p_S the product over S.
-
-They agree to full precision and serve as each other's oracle.  Note the
-off-by-one between the two natural "time" conventions: the expected number
-of teacher words consumed is E[k0] = 1 + T for n >= 1 (the k = 0 term of
-the tail-sum identity), so both are returned.  Simulator comparisons use
-``steps_expectation``.
-
-Every power p_i**x of the oracles and of the integral is taken by one
+Every power p_i**x of the exact routes and of the integral is taken by one
 kernel, which works on log overlaps sorted in descending order (zero
 overlaps dropped), cuts the columns whose powers are below e**-40 of the
 leading one and raises the rest to at least that level.
@@ -53,12 +49,10 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DivergenceError, PrecisionLossError
 from .rng import rows_chunk
 
-SUBSET_LIMIT = 25
 _TAIL_S_THRESHOLD = 1e-4   # retire a vector to closed-form tail once S(k) <= this
 _TAIL_ORDERS = 5           # log1p expansion orders kept in closed-form tails
 _EXACT_HEAD = 256          # exact k-summation range before the integral part
@@ -191,7 +185,7 @@ def coarse_bounds(p) -> tuple[float, float]:
 
 
 # ----------------------------------------------------------------------
-# exact expected time, two ways
+# exact expected time
 # ----------------------------------------------------------------------
 
 
@@ -226,46 +220,6 @@ def expected_time_series(p, eps: float = 1e-12) -> TimeEstimate:
         ks = np.arange(k + 1, k + block + 1, dtype=np.float64)
         total += float(_q(_powers(logp, ks, logp)).sum())
     return TimeEstimate(total, total + 1.0)
-
-
-def expected_time_subsets(p) -> float:
-    """Inclusion-exclusion value of T, exact up to rounding; n <= 25.
-
-    Subsets are enumerated in Gray-code order so the running product changes
-    by one incremental update per subset; the product is carried as a log
-    sum, immune to underflow from subnormal entries.  Zero entries are
-    pruned first (their subsets contribute nothing), and the rest sorted
-    largest first: Gray code flips bit j 2**(m-1-j) times, so the huge
-    logs of tiny entries are added and taken back fewest times, and every
-    subset without them is summed before any of them is added.  Terms are
-    accumulated with exact (fsum) rounding.
-    """
-    logp = _log_desc(_as_p(p))
-    m = logp.size
-    if m == 0:
-        return 0.0
-    if m > SUBSET_LIMIT:
-        raise ValueError(f"subset enumeration limited to n <= {SUBSET_LIMIT} "
-                         f"nonzero entries, got {m}")
-    return math.fsum(_subset_terms(logp.tolist(), m))
-
-
-def _subset_terms(logp: list, m: int):
-    logprod = 0.0
-    size = 0
-    for i in range(1, 1 << m):
-        # Gray code g = i ^ (i >> 1); between i-1 and i, bit ctz(i) of g flips
-        j = (i & -i).bit_length() - 1
-        if ((i ^ (i >> 1)) >> j) & 1:
-            logprod += logp[j]
-            size += 1
-        else:
-            logprod -= logp[j]
-            size -= 1
-        # true subset products are < 1; clamp away rounding drift across 0
-        ps = min(math.exp(logprod), 1.0 - 2.0**-53)
-        term = ps / (1.0 - ps)
-        yield term if (size & 1) else -term
 
 
 def n_delta(p, delta: float) -> int:
@@ -471,7 +425,9 @@ def _euler_maclaurin(L: np.ndarray, a: np.ndarray, positives: np.ndarray,
         px = _powers(L, x, top)
         log_l = np.log1p(-px).sum(axis=1)
         # q'(x) = prod(1 - p**x) * sum(p**x log p / (1 - p**x)), 0 for p = 0
-        slope = np.exp(log_l) * (xlogy(px, px) / (1.0 - px)).sum(axis=1) / x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plogp = np.where(px > 0.0, px * np.log(px), 0.0)
+        slope = np.exp(log_l) * (plogp / (1.0 - px)).sum(axis=1) / x
         ends.append((-np.expm1(log_l), slope))
     (fa, dfa), (fb, dfb) = ends
     return integral + 0.5 * (fa + fb) + (dfb - dfa) / 12.0, b

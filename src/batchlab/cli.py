@@ -120,9 +120,7 @@ def _cmd_simulate(cfg: RunConfig) -> str:
         rows = [{"trial": i, "time": int(t) if math.isfinite(t) else "inf"}
                 for i, t in enumerate(batch.times.tolist())]
         return rows_csv(rows, ["trial", "time"])
-    summary = batch.summary()
-    summary["horizon"] = cfg.horizon
-    return json_text(summary)
+    return json_text(batch.summary())
 
 
 def _table(cfg: RunConfig, rows: list, columns: list) -> str:

@@ -12,7 +12,7 @@ N_delta for the three learners under shared-master-seed discipline.
 Serialization: :func:`json_text` and :func:`rows_csv` write every report and
 every CLI command's output, with losslessly rendered floats (shortest
 round-trip form); the command table in :mod:`batchlab.cli` says which of
-the two each command writes.  :func:`emit` writes a report and
+the two each command writes.  :func:`emit` serializes a report and
 :func:`parse_report` inverts it.
 All result fields are byte-reproducible from (config, seed); wall-clock
 ``runtime_seconds`` is the one declared-volatile field.
@@ -495,8 +495,8 @@ def rows_csv(rows: list, columns: Sequence[str]) -> str:
 _REPORTS = {cls.SCHEMA: cls for cls in (ScalingReport, ComparisonTable)}
 
 
-def emit(report, fmt: str, path: Optional[str] = None) -> str:
-    """Serialize a report as csv or json; write to path when given.
+def emit(report, fmt: str) -> str:
+    """A report serialized as csv or json text.
 
     JSON carries the schema tag, config fields, and seed so a run can be
     reproduced from its own output.  Any other ``fmt`` raises ValueError.
@@ -509,12 +509,6 @@ def emit(report, fmt: str, path: Optional[str] = None) -> str:
         text = json_text({"schema": report.SCHEMA, **_plain_dict(report)})
     else:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    if path is not None:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write report to {path!r}: {exc}") from exc
     return text
 
 

@@ -25,6 +25,7 @@ y/(1 - y).  Both sides are undefined when n * alpha <= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,19 +163,32 @@ def _power_sum_tail(dist, s, k, m_k):
     with the smaller w bounds the tail above, the trapezoid rule with the
     larger w bounds it below.  Scaled laws with a < 1 have m_j <= a**j: a
     geometric upper bound, 0 below.
+
+    Both w_k and the rule values are taken from log c and log m_k, since
+    c = Gamma(alpha+1) and c**s overflow for large alpha while m_k and the
+    tail are still normal.  The log form's rounding, about
+    |s log c + (1-p) log x| ulps of the tail at the exponent of each rule,
+    sits inside the callers' _ROUNDING_RTOL * |value|.  Raises
+    PrecisionLossError when m_k is not positive: the moments have
+    underflowed and the partial sum has lost its terms.
     """
     if not dist.has_power_tail:
         a_s = dist.a ** s
         return 0.0, (a_s ** (k + 1) / (1.0 - a_s) if a_s < 1.0 else np.inf)
     alpha, c = dist.tail_parameters()
-    w_k = (c / m_k) ** (1.0 / alpha) - k
+    if not m_k > 0.0:
+        raise PrecisionLossError(f"moment m_K underflows at K = {k}: the tail "
+                                 f"exponent {alpha:g} is too large for float64")
+    log_c = math.log(c)
+    w_k = math.exp((log_c - math.log(m_k)) / alpha) - k
     slack = 4.0 * _ULP * (k + 1.0) * (1.0 + 1.0 / alpha)
     w_lo = min(w_k, 0.5 * (alpha + 1.0)) - slack
     w_hi = max(w_k, 0.5 * (alpha + 1.0)) + slack
     p = alpha * s
-    upper = c ** s * (k + 0.5 + w_lo) ** (1.0 - p) / (p - 1.0)
+    rule = lambda x, power: math.exp(s * log_c + power * math.log(x))
+    upper = rule(k + 0.5 + w_lo, 1.0 - p) / (p - 1.0)
     x = k + 1.0 + w_hi
-    lower = c ** s * (x ** (1.0 - p) / (p - 1.0) + 0.5 * x ** -p)
+    lower = rule(x, 1.0 - p) / (p - 1.0) + 0.5 * rule(x, -p)
     return lower, upper
 
 

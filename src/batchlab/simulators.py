@@ -3,8 +3,7 @@
 * batch: the student intersects per-word concept lists; learned at the first
   step k0 where only the target remains.  Under independence k0 is the max
   of per-concept geometric lifetimes, so the production sampler draws
-  geometrics by inversion instead of replaying words.  A word-level
-  reference simulator is kept for oracle tests.
+  geometrics by inversion instead of replaying words.
 * memoryless: hold a uniformly random concept until a word contradicts it
   (probability 1 - p_i per word), then re-pick uniformly over all n+1
   concepts.  The settle time is the index of the re-pick that lands on the
@@ -14,9 +13,10 @@
   so the run terminates surely.
 
 Each learner has one vectorized sampler that takes a ``(trials, n)`` overlap
-matrix and returns one time per row, with the same law as the single-trial
-loops (tested against them).  ``run_trials`` decides where the matrix comes
-from: one fixed vector repeated, or fresh rows drawn from the overlap law.
+matrix and returns one time per row, with the same law as the word-level
+single-trial loops that ``tests/oracles.py`` keeps as their oracles.
+``run_trials`` decides where the matrix comes from: one fixed vector
+repeated, or fresh rows drawn from the overlap law.
 With fresh p two learners need no matrix, because across trials the
 lifetimes G_i are i.i.d. with P(G > k) = m_k:
 
@@ -100,6 +100,7 @@ class TrialBatch:
             "seed": self.seed,
             "dist": self.dist_spec,
             "resample_p": self.resample_p,
+            "horizon": self.horizon,
         }
 
 
@@ -132,28 +133,6 @@ def geometric_steps(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     np.ceil(g, out=g)
     np.abs(g, out=g)                           # p = 1: log(u) / +0 is -inf
     return np.maximum(g, 1.0, out=g)
-
-
-def simulate_batch(p, rng: np.random.Generator) -> int:
-    """One batch-learner trial: k0 = max_i G_i; 0 for the empty vector."""
-    arr = _as_p(p)
-    if arr.size == 0:
-        return 0
-    return int(geometric_steps(arr, rng).max())
-
-
-def simulate_batch_wordlevel(p, rng: np.random.Generator) -> int:
-    """Reference simulator: explicit word-by-word list intersection.
-
-    O(n) per word; intended for oracle tests at small n only.
-    """
-    arr = _as_p(p)
-    alive = np.arange(arr.size)
-    k = 0
-    while alive.size:
-        k += 1
-        alive = alive[rng.random(alive.size) < arr[alive]]
-    return k if arr.size else 0
 
 
 def batch_times(P: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -199,53 +178,6 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     some = counts > 0
     out[some] = np.add.reduceat(values, (np.cumsum(counts) - counts)[some])
     return out
-
-
-def simulate_memoryless(p, rng: np.random.Generator,
-                        horizon: int = DEFAULT_HORIZON) -> Optional[int]:
-    """One word-level memoryless trial.
-
-    Returns the settle step (the re-pick index that lands on the target;
-    0 if the initial pick is correct), or None when censored at ``horizon``
-    teacher words.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    arr = _as_p(p, forbid_one=False)
-    n = arr.size
-    if n == 0:
-        return 0
-    current = int(rng.integers(0, n + 1))      # 0 is the target concept
-    if current == 0:
-        return 0
-    for t in range(1, horizon + 1):
-        if rng.random() < arr[current - 1]:
-            continue                            # word consistent, keep holding
-        current = int(rng.integers(0, n + 1))
-        if current == 0:
-            return t
-    return None
-
-
-def simulate_full_memory(p, rng: np.random.Generator) -> int:
-    """One word-level full-memory trial; rejected concepts never return."""
-    arr = _as_p(p)
-    n = arr.size
-    if n == 0:
-        return 0
-    remaining = list(range(n + 1))
-    current = remaining[int(rng.integers(0, n + 1))]
-    if current == 0:
-        return 0
-    t = 0
-    while True:
-        t += 1
-        if rng.random() < arr[current - 1]:
-            continue
-        remaining.remove(current)
-        current = remaining[int(rng.integers(0, len(remaining)))]
-        if current == 0:
-            return t
 
 
 def memoryless_times(P: np.ndarray, rng: np.random.Generator,

@@ -15,13 +15,14 @@ import pytest
 
 from batchlab import ensemble as en
 from batchlab.batch_exact import (expected_time_bulk, expected_time_series,
-                                  expected_time_subsets, sandwich, survival)
+                                  sandwich, survival)
 from batchlab.distributions import power_tail, uniform
 from batchlab.errors import DivergenceError
 from batchlab.harness import RunConfig, run_scaling
 from batchlab.moment_zeta import verify_zeta_expectation, zeta
 from batchlab.rng import derive_rng
 from batchlab.simulators import empirical_n_delta, run_trials
+from tests.oracles import expected_time_subsets
 
 SEED = 20260810
 SWEEP = (100, 316, 1000, 3162, 10000, 31623, 100000)

@@ -12,13 +12,14 @@ from numpy.testing import assert_allclose
 
 from batchlab.batch_exact import (_X_BUDGET, _first_step, coarse_bounds,
                                   expected_time_bulk, expected_time_fast,
-                                  expected_time_series, expected_time_subsets,
-                                  n_delta, sandwich, survival, survival_bulk)
+                                  expected_time_series, n_delta, sandwich,
+                                  survival, survival_bulk)
 from batchlab.errors import DivergenceError, PrecisionLossError
 from batchlab.rng import rows_chunk
-from batchlab.simulators import (run_trials, simulate_batch,
-                                 simulate_batch_wordlevel, simulate_full_memory,
-                                 simulate_memoryless)
+from batchlab.simulators import run_trials
+from tests.oracles import (expected_time_subsets, simulate_batch,
+                           simulate_batch_wordlevel, simulate_full_memory,
+                           simulate_memoryless)
 
 overlap_vectors = st.lists(
     st.floats(min_value=0.0, max_value=0.99, allow_nan=False), min_size=0,

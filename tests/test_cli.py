@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +50,47 @@ class TestZetaCommand:
     def test_missing_s_is_config_error(self, capsys):
         code, _, err = run_cli(["zeta", "--dist", "uniform"], capsys)
         assert code == 2
+
+
+def mpmath_moments(mp, beta, terms):
+    """m_1, ..., m_terms at 40 digits; m_k falls like k**-(beta+1)."""
+    from tests.test_moment_zeta import mpmath_moment
+    with mp.workdps(40):
+        return [mpmath_moment(mp, beta, mp.mpf(k)) for k in range(1, terms + 1)]
+
+
+class TestLargeTailExponent:
+    """Betas whose c**s overflows, or whose moments leave float64 by K."""
+
+    def test_zeta_where_c_to_the_s_overflows(self, capsys):
+        mp = pytest.importorskip("mpmath")
+        code, out, _ = run_cli(["zeta", "--dist", "powertail:beta=98", "--s", "2"],
+                               capsys)
+        assert code == 0
+        payload = json.loads(out)
+        with mp.workdps(40):
+            want = mp.fsum(m**2 for m in mpmath_moments(mp, 98.0, 200))
+        assert 0.0 < payload["error_bound"] <= 1e-16
+        assert abs(payload["value"] - float(want)) <= payload["error_bound"]
+
+    def test_moment_series_where_c_to_the_s_overflows(self, capsys):
+        mp = pytest.importorskip("mpmath")
+        code, out, _ = run_cli(["ensemble", "--dist", "powertail:beta=98",
+                                "--n", "1000", "--format", "json"], capsys)
+        assert code == 0
+        row, = json.loads(out)["rows"]
+        with mp.workdps(40):
+            want = mp.fsum(-mp.expm1(1000 * mp.log1p(-m))
+                           for m in mpmath_moments(mp, 98.0, 400))
+        assert 0.0 < row["error"] <= 1e-12
+        assert abs(row["value"] - float(want)) <= row["error"]
+
+    @pytest.mark.parametrize("beta", ["110", "120.5", "150"])
+    def test_moments_that_leave_float64_exit_4(self, capsys, beta):
+        code, out, err = run_cli(["zeta", "--dist", f"powertail:beta={beta}",
+                                  "--s", "2"], capsys)
+        assert code == 4 and out == ""
+        assert "moment m_K underflows" in err
 
 
 class TestExactTimeAndNDelta:
@@ -108,6 +151,18 @@ class TestSimulateCommand:
                                 "--seed", "3", "--horizon", "2"], capsys)
         # summary reports censored trials rather than failing
         assert code == 0
+
+    @pytest.mark.parametrize("alg,horizon", [("batch", None), ("memoryless", 7),
+                                             ("full_memory", None)])
+    def test_horizon_is_the_one_the_trials_ran_under(self, capsys, alg, horizon):
+        # only memoryless runs are censored at --horizon
+        code, out, _ = run_cli(["simulate", "--alg", alg, "--n", "10",
+                                "--trials", "50", "--horizon", "7"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["horizon"] == horizon
+        if horizon is None:
+            assert payload["censored"] == 0 and payload["max"] > 7
 
     def test_n_disagreeing_with_fixed_p_rejected(self, capsys):
         base = ["simulate", "--alg", "batch", "--fixed-p", "0.5,0.5",
@@ -393,3 +448,33 @@ class TestEntryPoint:
             [sys.executable, "-m", "batchlab", "zeta", "--nonsense"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+def readme_commands():
+    """Every ``batchlab`` line of README's sh blocks, as argument lists.
+
+    Backslash continuations are joined first; shlex drops ``#`` comments.
+    """
+    text = (ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["batchlab"]:
+                commands.append(words[1:])
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+class TestReadme:
+    def test_every_command_is_shown(self):
+        assert {args[0] for args in README_COMMANDS} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("args", README_COMMANDS, ids=" ".join)
+    def test_command_runs(self, capsys, monkeypatch, tmp_path, args):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(args, capsys)
+        assert code == 0, err
+        assert out

@@ -17,26 +17,8 @@ from batchlab.distributions import power_tail, scaled, uniform
 from batchlab.errors import DivergenceError, PrecisionLossError
 from batchlab.rng import STREAM_ENSEMBLE, STREAM_EXTREMES, derive_rng
 from tests.conftest import MASTER_SEED
+from tests.oracles import expected_time_subsets_bulk
 from tests.test_moment_zeta import mpmath_moment, mpmath_sum
-
-
-def expected_time_subsets_bulk(P: np.ndarray) -> np.ndarray:
-    """Inclusion-exclusion value of T for each row of P (small n only).
-
-    Builds all 2**n subset products by doubling; memory is rows * 2**n.
-    """
-    P = np.asarray(P, dtype=np.float64)
-    rows, n = P.shape
-    if n > 20:
-        raise ValueError("bulk subset evaluation limited to n <= 20")
-    prods = np.ones((rows, 1))
-    signs = np.array([-1.0])                    # sign(S) = (-1)**(|S| - 1)
-    for i in range(n):
-        prods = np.concatenate([prods, prods * P[:, i:i + 1]], axis=1)
-        signs = np.concatenate([signs, -signs])
-    # drop the empty subset (column 0), which contributes nothing
-    terms = prods[:, 1:] / (1.0 - prods[:, 1:])
-    return (signs[1:] * terms).sum(axis=1)
 
 
 class TestZetaSumRoute:

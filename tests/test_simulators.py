@@ -18,10 +18,10 @@ from batchlab.rng import CHUNK_SIZE, rows_chunk
 from batchlab.simulators import (_segment_sums, batch_time_quantile,
                                  batch_times, empirical_n_delta,
                                  full_memory_ensemble_times, full_memory_times,
-                                 memoryless_times, run_trials, simulate_batch,
-                                 simulate_batch_wordlevel, simulate_full_memory,
-                                 simulate_memoryless)
+                                 memoryless_times, run_trials)
 from tests.conftest import MASTER_SEED
+from tests.oracles import (simulate_batch, simulate_batch_wordlevel,
+                           simulate_full_memory, simulate_memoryless)
 
 
 def tiled(p, trials):
