@@ -138,10 +138,13 @@ class OverlapDistribution:
         k = np.asarray(k, dtype=np.float64)
         b = self.beta
         if b == int(b) and b >= 0:
-            # m_k = Gamma(beta+2) / prod_{j=1}^{beta+1} (k+j), 1/(k+1) at beta = 0
+            # m_k = Gamma(beta+2) / prod_{j=1}^{beta+1} (k+j), 1/(k+1) at beta = 0;
+            # a product past float64 gives m_k = 0, which the moment routes
+            # report as underflow
             denom = k + 1.0
-            for j in range(2, int(b) + 2):
-                denom *= k + j
+            with np.errstate(over="ignore"):
+                for j in range(2, int(b) + 2):
+                    denom *= k + j
             m = math.gamma(b + 2.0) / denom
         else:
             # poch(k+1, b+1) = Gamma(k+b+2)/Gamma(k+1); a gammaln difference

@@ -255,7 +255,7 @@ class ScalingReport:
     exponent_ci: tuple        # (lo, hi), contains fitted_exponent
     runtime_seconds: tuple    # per point; wall clock, volatile
     discarded: tuple
-    trials: int
+    trials: Optional[int]     # None for moment_series, which draws nothing
     seed: int
 
     SCHEMA = "batchlab/scaling-report/v1"
@@ -281,6 +281,7 @@ class ScalingReport:
         """Inverse of :meth:`csv_rows`, from rows of text cells."""
         first = rows[0]
         return cls(**_csv_scalars(cls, first),
+                   trials=int(first["trials"]) if first["trials"] else None,
                    n_values=tuple(int(r["n"]) for r in rows),
                    estimates=tuple((float(r["value"]),
                                     float(r["error"]) if r["error"] else None)
@@ -341,7 +342,8 @@ def run_scaling(config: RunConfig) -> ScalingReport:
                         for v, e in zip(values, errors)),
         fitted_exponent=fit.exponent, exponent_ci=ci,
         runtime_seconds=tuple(runtimes), discarded=fit.discarded,
-        trials=config.trials, seed=config.seed)
+        trials=config.trials if method == "mc_median" else None,
+        seed=config.seed)
 
 
 def _bootstrap_exponent_ci(config, samples, fit) -> tuple:

@@ -135,7 +135,7 @@ def _certified_sum(dist, term, bracket, goal, power, what):
             with np.errstate(under="ignore"):
                 partial += float(np.sum(term(m)))
         k_done = k_target
-        lo, hi = bracket(lambda s: _power_sum_tail(dist, s, k_done, float(m[-1])))
+        lo, hi = bracket(_power_sum_tail(dist, k_done, float(m[-1])))
         half = 0.5 * abs(hi - lo)
         if half <= 0.5 * goal(partial):
             value = partial + 0.5 * (lo + hi)
@@ -150,8 +150,8 @@ def _certified_sum(dist, term, bracket, goal, power, what):
         k_target = min(2 * k_done, _K_CAP)
 
 
-def _power_sum_tail(dist, s, k, m_k):
-    """Certified [lower, upper] for sum_{j>k} m_j**s, given m_k.
+def _power_sum_tail(dist, k, m_k):
+    """tail(s): a certified [lower, upper] for sum_{j>k} m_j**s, given m_k.
 
     Power tails: m_j = c*Gamma(j+1)/Gamma(j+1+alpha) = c*(j + w_j)**-alpha,
     where w_j decreases for alpha < 1 and increases for alpha > 1 toward
@@ -168,13 +168,17 @@ def _power_sum_tail(dist, s, k, m_k):
     c = Gamma(alpha+1) and c**s overflow for large alpha while m_k and the
     tail are still normal.  The log form's rounding, about
     |s log c + (1-p) log x| ulps of the tail at the exponent of each rule,
-    sits inside the callers' _ROUNDING_RTOL * |value|.  Raises
-    PrecisionLossError when m_k is not positive: the moments have
-    underflowed and the partial sum has lost its terms.
+    sits inside the callers' _ROUNDING_RTOL * |value|.  Everything but the
+    rules' exponents is worked out once per k, since a Bonferroni bracket
+    asks for many orders s at the same k.  Raises PrecisionLossError when
+    m_k is not positive: the moments have underflowed and the partial sum
+    has lost its terms.
     """
     if not dist.has_power_tail:
-        a_s = dist.a ** s
-        return 0.0, (a_s ** (k + 1) / (1.0 - a_s) if a_s < 1.0 else np.inf)
+        def geometric(s):
+            a_s = dist.a ** s
+            return 0.0, (a_s ** (k + 1) / (1.0 - a_s) if a_s < 1.0 else np.inf)
+        return geometric
     alpha, c = dist.tail_parameters()
     if not m_k > 0.0:
         raise PrecisionLossError(f"moment m_K underflows at K = {k}: the tail "
@@ -184,12 +188,17 @@ def _power_sum_tail(dist, s, k, m_k):
     slack = 4.0 * _ULP * (k + 1.0) * (1.0 + 1.0 / alpha)
     w_lo = min(w_k, 0.5 * (alpha + 1.0)) - slack
     w_hi = max(w_k, 0.5 * (alpha + 1.0)) + slack
-    p = alpha * s
-    rule = lambda x, power: math.exp(s * log_c + power * math.log(x))
-    upper = rule(k + 0.5 + w_lo, 1.0 - p) / (p - 1.0)
-    x = k + 1.0 + w_hi
-    lower = rule(x, 1.0 - p) / (p - 1.0) + 0.5 * rule(x, -p)
-    return lower, upper
+    log_mid = math.log(k + 0.5 + w_lo)
+    log_x = math.log(k + 1.0 + w_hi)
+
+    def tail(s):
+        p = alpha * s
+        s_log_c = s * log_c
+        upper = math.exp(s_log_c + (1.0 - p) * log_mid) / (p - 1.0)
+        lower = (math.exp(s_log_c + (1.0 - p) * log_x) / (p - 1.0)
+                 + 0.5 * math.exp(s_log_c - p * log_x))
+        return lower, upper
+    return tail
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,17 @@ it has no such law.  Rows are drawn in fixed chunks from per-chunk streams
 derived from a master seed (``rng.derive_rng``, PCG64DXSM), so results are
 reproducible and independent of thread count.
 
+The learners' chunks hold ``rows_chunk(n, _LEARNER_BUDGET)`` rows, about
+2**14 floats.  A chunk's temporaries (overlaps, hold indices, waits) then
+stay below 128 KiB each, glibc's default mmap threshold, so the heap reuses
+one cache-sized block from chunk to chunk instead of mapping and unmapping
+tens of MB: a memoryless run of 2000 trials at n = 1000 peaks near 1 MiB,
+not 76 MiB.  A larger budget crosses the threshold and pays a page fault
+per page of every chunk; a smaller one pays numpy's per-call overhead more
+often than it saves.  The ensemble and zeta checks that share
+:func:`_map_overlap_rows` keep ``rows_chunk(n)`` rows (about 2**22 floats),
+so their streams and reports stay as they were.
+
 The memoryless and fresh-p full-memory samplers lay the holds of all
 trials out in one flat array, trial after trial.  Memoryless reads the held
 overlaps with one flat ``take`` (from the one vector when p is fixed), and
@@ -58,6 +69,9 @@ from .rng import (CHUNK_SIZE, STREAM_BATCH, STREAM_FULL_MEMORY,
                   STREAM_MEMORYLESS, derive_rng, map_chunks, rows_chunk)
 
 DEFAULT_HORIZON = 1_000_000
+#: Floats per chunk of the learners' samplers (see the module docstring).
+#: Fixed: changing it changes their streams.
+_LEARNER_BUDGET = 1 << 14
 
 ALGORITHMS = ("batch", "memoryless", "full_memory")
 _ALG_STREAM = {"batch": STREAM_BATCH,
@@ -261,8 +275,10 @@ def _map_rows(fn, rows: int, seed: int, path: tuple, threads: int = 1,
 
 def _map_overlap_rows(fn, dist: Optional[OverlapDistribution], n: int,
                       rows: int, seed: int, path: tuple, threads: int = 1,
-                      fixed_p: Optional[np.ndarray] = None) -> np.ndarray:
-    """``fn(P, rng)`` over ``rows`` overlap rows in chunks of ``rows_chunk(n)``.
+                      fixed_p: Optional[np.ndarray] = None,
+                      chunk_rows: Optional[int] = None) -> np.ndarray:
+    """``fn(P, rng)`` over ``rows`` overlap rows in chunks of ``chunk_rows``
+    rows, ``rows_chunk(n)`` when not given.
 
     Each chunk's matrix ``P`` repeats ``fixed_p`` when given; otherwise it
     is drawn from ``dist`` on the chunk's stream before ``fn`` draws from it.
@@ -272,7 +288,8 @@ def _map_overlap_rows(fn, dist: Optional[OverlapDistribution], n: int,
             return fn(np.broadcast_to(fixed_p, (count, n)), rng)
         return fn(dist.sample(count * n, rng).reshape(count, n), rng)
 
-    return _map_rows(chunk, rows, seed, path, threads, chunk_size=rows_chunk(n))
+    return _map_rows(chunk, rows, seed, path, threads,
+                     chunk_size=chunk_rows or rows_chunk(n))
 
 
 def run_trials(
@@ -293,8 +310,9 @@ def run_trials(
     laws instead: batch by :func:`batch_time_quantile`, one uniform per
     trial in chunks of ``rng.CHUNK_SIZE``, and full memory by composition
     in :func:`full_memory_ensemble_times` (J ~ U{0..n} held concepts with
-    i.i.d. lifetimes) in chunks of ``rows_chunk(n)``.  Chunk i of a learner
-    draws from ``derive_rng(seed, <learner stream>, i)``.
+    i.i.d. lifetimes).  Every other route, the composition included, runs
+    in cache-sized chunks of ``rows_chunk(n, _LEARNER_BUDGET)`` rows.
+    Chunk i of a learner draws from ``derive_rng(seed, <learner stream>, i)``.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick one of {ALGORITHMS}")
@@ -306,6 +324,7 @@ def run_trials(
         fixed_p = _as_p(fixed_p, forbid_one=(algorithm != "memoryless"))
         n = fixed_p.size
     path = (_ALG_STREAM[algorithm],)
+    chunk_rows = rows_chunk(n, _LEARNER_BUDGET)
     if fixed_p is None and algorithm == "batch":
         times = _map_rows(
             lambda rng, count: batch_time_quantile(dist, n, rng.random(count)),
@@ -313,13 +332,14 @@ def run_trials(
     elif fixed_p is None and algorithm == "full_memory":
         times = _map_rows(
             lambda rng, count: full_memory_ensemble_times(dist, n, count, rng),
-            trials, seed, path, threads, chunk_size=rows_chunk(n))
+            trials, seed, path, threads, chunk_size=chunk_rows)
     else:
         sampler = {"batch": batch_times,
                    "memoryless": lambda P, rng: memoryless_times(P, rng, horizon),
                    "full_memory": full_memory_times}[algorithm]
         times = _map_overlap_rows(sampler, dist, n, trials, seed, path,
-                                  threads=threads, fixed_p=fixed_p)
+                                  threads=threads, fixed_p=fixed_p,
+                                  chunk_rows=chunk_rows)
     return TrialBatch(algorithm=algorithm, n=n, times=times, seed=seed,
                       dist_spec="fixed" if fixed_p is not None else dist.spec,
                       resample_p=fixed_p is None,

@@ -430,6 +430,17 @@ class TestRegimeWindows:
         within = (t >= rep.window_low) & (t <= rep.window_high)
         assert rep.fraction_within == float(within.mean())
 
+    def test_benchmark_rows_are_chunk_0(self):
+        # the per_vector benchmark rebuilds a 40 x 1000 check as chunk 0 of
+        # its stream, so these rows must stay in one chunk of rows_chunk(n)
+        n, trials = 1000, 40
+        rep = en.regime_window_check(power_tail(1.0), n, trials, MASTER_SEED)
+        rng = derive_rng(MASTER_SEED, STREAM_ENSEMBLE, 2, 0)
+        t = expected_time_bulk(power_tail(1.0).sample(trials * n, rng)
+                               .reshape(trials, n)) + 1.0
+        q005, med, q995 = np.quantile(t, [0.005, 0.5, 0.995])
+        assert (rep.q005, rep.median_t, rep.q995) == (q005, med, q995)
+
 
 class TestDispatcher:
     def test_each_method_runs(self):

@@ -116,6 +116,7 @@ class TestRunScaling:
         rep2 = run_scaling(dataclasses.replace(cfg, threads=4))
         assert rep1.result_fields() == rep2.result_fields()
         assert abs(rep1.fitted_exponent - 1.0) < 0.15
+        assert rep1.trials == 400
 
     def test_auto_method_selection(self):
         cfg = RunConfig(command="scaling", dist="uniform", trials=100,
@@ -175,6 +176,21 @@ class TestSerialization:
     def test_scaling_round_trip(self, fmt):
         rep = _sample_scaling_report()
         assert parse_report(emit(rep, fmt)) == rep
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scaling_without_trials_round_trip(self, fmt):
+        # moment_series draws nothing, so its report carries no trial count
+        rep = run_scaling(RunConfig(command="scaling", dist="powertail:beta=1",
+                                    n_sweep=(10, 30, 100, 1000), trials=5000,
+                                    method="moment_series"))
+        assert rep.trials is None
+        text = emit(rep, fmt)
+        assert parse_report(text) == rep
+        if fmt == "csv":
+            header, first = text.splitlines()[:2]
+            assert first.split(",")[header.split(",").index("trials")] == ""
+        else:
+            assert '"trials": null' in text
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_comparison_round_trip(self, fmt):

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from batchlab.batch_exact import expected_time_series, survival
 from batchlab.distributions import power_tail, uniform
 from batchlab.errors import CensoringError, DivergenceError
 from batchlab.rng import CHUNK_SIZE, rows_chunk
-from batchlab.simulators import (_segment_sums, batch_time_quantile,
-                                 batch_times, empirical_n_delta,
-                                 full_memory_ensemble_times, full_memory_times,
-                                 memoryless_times, run_trials)
+from batchlab.simulators import (_LEARNER_BUDGET, _segment_sums,
+                                 batch_time_quantile, batch_times,
+                                 empirical_n_delta, full_memory_ensemble_times,
+                                 full_memory_times, memoryless_times, run_trials)
 from tests.conftest import MASTER_SEED
 from tests.oracles import (simulate_batch, simulate_batch_wordlevel,
                            simulate_full_memory, simulate_memoryless)
@@ -212,7 +213,7 @@ class TestFullMemoryEnsembleLaw:
 
     def test_chunks_reproducible_across_threads(self, master_seed):
         n = 1000
-        trials = 2 * rows_chunk(n) + 7            # three chunks
+        trials = 2 * rows_chunk(n, _LEARNER_BUDGET) + 7     # three chunks
         a = run_trials("full_memory", power_tail(-0.5), n, trials,
                        master_seed, threads=1).times
         b = run_trials("full_memory", power_tail(-0.5), n, trials,
@@ -360,10 +361,10 @@ class TestFullMemory:
 
 class TestRunTrials:
     def test_reproducible_across_threads(self, master_seed):
-        # fresh p at n = 30: batch draws chunks of CHUNK_SIZE uniforms, the
-        # other learners chunks of rows_chunk(30) rows; each gets three
+        # fresh p at n = 30: batch draws three chunks of CHUNK_SIZE uniforms,
+        # the other learners chunks of rows_chunk(30, _LEARNER_BUDGET) rows
         trials = 140000
-        assert trials > 2 * max(CHUNK_SIZE, rows_chunk(30))
+        assert trials > 2 * CHUNK_SIZE
         u = uniform()
         for alg in ("batch", "memoryless", "full_memory"):
             a = run_trials(alg, u, 30, trials, master_seed, threads=1).times
@@ -379,14 +380,31 @@ class TestRunTrials:
         assert np.array_equal(a, b)
 
     def test_fixed_p_reproducible_across_threads(self, master_seed):
-        # n = 1000 puts 4194 rows in a chunk, so 5000 trials make two chunks
-        p = np.random.default_rng(master_seed).random(1000) * 0.9
+        n = 1000
+        trials = 2 * rows_chunk(n, _LEARNER_BUDGET) + 5     # three chunks
+        p = np.random.default_rng(master_seed).random(n) * 0.9
         for alg in ("batch", "memoryless", "full_memory"):
-            a = run_trials(alg, None, 0, 5000, master_seed, fixed_p=p,
+            a = run_trials(alg, None, 0, trials, master_seed, fixed_p=p,
                            threads=1).times
-            b = run_trials(alg, None, 0, 5000, master_seed, fixed_p=p,
+            b = run_trials(alg, None, 0, trials, master_seed, fixed_p=p,
                            threads=4).times
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("alg, fixed", [
+        ("memoryless", False), ("full_memory", False), ("batch", True),
+        ("memoryless", True), ("full_memory", True)])
+    def test_peak_allocation_is_cache_sized(self, alg, fixed, master_seed):
+        # chunks of about 2**14 floats: 2000 trials at n = 1000 peak near
+        # 1 MiB, where one chunk of rows_chunk(1000) rows is 32 MiB
+        p = np.random.default_rng(master_seed).random(1000) * 0.9 if fixed else None
+        run_trials(alg, uniform(), 1000, 20, master_seed, fixed_p=p)
+        tracemalloc.start()
+        try:
+            run_trials(alg, uniform(), 1000, 2000, master_seed, fixed_p=p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_pinned_times(self, master_seed):
         # fresh uniform p, n = 30: the first eight times of one chunk
