@@ -24,23 +24,38 @@ each sub-block cuts its own dead columns and retires its own rows.  Per row:
 1. *Saturated steps are counted.*  prod_i(1 - p_i**k) <= exp(-S(k)), with
    S(k) = sum_i p_i**k, so q_k rounds to exactly 1.0 while S(k) >= 40; the
    last such k is found by doubling and bisection on S and added as is.
-2. *Exact head* up to step 256: p**(k+1) = p**k * p from p**1 = p, at most
-   256 * 2**-53 relative from the recurrence, and q_k = 1 - prod(1 - p**k)
+2. *Exact head* up to step 64: p**(k+1) = p**k * p from p**1 = p, at most
+   64 * 2**-53 relative from the recurrence, and q_k = 1 - prod(1 - p**k)
    as a product over the columns, off by about n * 2**-53 / q_k relative.
    q_1, which can be as small as the overlaps, is taken in log space.  A
    row retires once S(k) <= 1e-4; every step it took before had
    S > 1e-4 and so q > 1 - exp(-1e-4), so the product form moves T by at
    most about n * 1.1e-12 relative.
 3. *Euler-Maclaurin*: for the rows the head left alive or never took
-   (tail start still 0), a corrected Gauss-Legendre integral on a
-   geometric grid from step 257, or from the step after the saturated ones
-   where those run past the head, to where S is small.
+   (tail start still 0), sum_{k=a}^{b} q_k = integral + (q(a) + q(b))/2 +
+   (q'(b) - q'(a))/12 from a = 65, or from the step after the saturated
+   ones where those run past the head, to a b where S is small.  The
+   remainder is that of the first Bernoulli term left out.  For one column,
+   q = p**x with t = -log p, it is p**a (1/(1 - e**-t) - 1/t - 1/2 - t/12),
+   at most p**a t**3 / 720, which is at most (4 / (e (a - 1)))**4 / 720 of
+   the column's whole sum p/(1 - p): 3.9e-10 at a = 65, which is why the
+   head can end at step 64, well inside the quadrature budget below.
+   The integral is taken in u = log x by the Gauss-Kronrod 7/15 rule on
+   panels, at first of ratio 4 in x.  A panel whose error estimate
+   |K15 - G7| exceeds its share (its width over the row's span in u) of the
+   row's budget, 1e-7 of T, is halved and taken again in the next round, so
+   the estimates of a row's final panels add up to at most 1e-7 of its T.
+   A round takes the nodes of every pending panel of the sub-block in
+   ascending x, in chunks that each keep the columns live at their first
+   node.
 4. The same *closed-form tail* as a row that retired in the head.
 
 :func:`expected_time_bulk` runs it on a matrix and :func:`expected_time_fast`
 on one vector; a row's value does not depend on the other rows beyond
-rounding.  Accuracy is ~1e-5 relative, checked against the exact series
-where both run.
+rounding.  The quadrature budget holds a value to about 1e-7 relative;
+against the exact series, where both run, the rows of the tests and of
+the benchmark's inputs come within about 1e-9, most of it the
+Euler-Maclaurin remainder at a = 65.
 """
 
 from __future__ import annotations
@@ -55,11 +70,31 @@ from .rng import rows_chunk
 
 _TAIL_S_THRESHOLD = 1e-4   # retire a vector to closed-form tail once S(k) <= this
 _TAIL_ORDERS = 5           # log1p expansion orders kept in closed-form tails
-_EXACT_HEAD = 256          # exact k-summation range before the integral part
+_EXACT_HEAD = 64           # exact k-summation range before the integral part
 _K_CAP = 1 << 25
 _DEAD = 40.0               # powers below e**-40 of the leading one are cut
 _X_BUDGET = 1 << 16        # overlaps per sub-block; powers per kernel call, head batch
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_QUAD_TOL = 1e-7           # quadrature error budget per row, relative to its T
+_PANEL = math.log(4.0)     # first-round panel width in log x
+# Gauss-Kronrod 7/15 rule on [-1, 1]: the 15 nodes, their Kronrod weights,
+# and the weights of the 7-point Gauss rule, which uses every other node
+_GK_NODES = np.array([
+    -0.991455371120812639, -0.949107912342758525, -0.864864423359769073,
+    -0.741531185599394440, -0.586087235467691130, -0.405845151377397167,
+    -0.207784955007898468, 0.0, 0.207784955007898468, 0.405845151377397167,
+    0.586087235467691130, 0.741531185599394440, 0.864864423359769073,
+    0.949107912342758525, 0.991455371120812639])
+_GK_WEIGHTS = np.array([
+    0.022935322010529225, 0.063092092629978553, 0.104790010322250184,
+    0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
+    0.204432940075298892, 0.209482141084727828, 0.204432940075298892,
+    0.190350578064785410, 0.169004726639267903, 0.140653259715525919,
+    0.104790010322250184, 0.063092092629978553, 0.022935322010529225])
+_GAUSS_WEIGHTS = np.array([
+    0.0, 0.129484966168869693, 0.0, 0.279705391489276668, 0.0,
+    0.381830050505118945, 0.0, 0.417959183673469388, 0.0,
+    0.381830050505118945, 0.0, 0.279705391489276668, 0.0,
+    0.129484966168869693, 0.0])
 
 
 class TimeEstimate(NamedTuple):
@@ -129,8 +164,12 @@ def _powers(logp: np.ndarray, x, top: np.ndarray) -> np.ndarray:
 
 
 def _q(pk: np.ndarray) -> np.ndarray:
-    """q = 1 - prod(1 - p**x) along the last axis, in log space."""
-    return -np.expm1(np.log1p(-pk).sum(axis=-1))
+    """q = 1 - prod(1 - p**x) along the last axis, in log space.
+
+    ``pk`` is overwritten.
+    """
+    np.negative(pk, out=pk)
+    return -np.expm1(np.log1p(pk, out=pk).sum(axis=-1))
 
 
 # ----------------------------------------------------------------------
@@ -241,8 +280,9 @@ def expected_time_fast(p) -> TimeEstimate:
     """Expected time for a single (possibly huge-scale) vector.
 
     The one-row case of :func:`expected_time_bulk`, with the same value.
-    Relative accuracy ~1e-5; intended for the ensemble Monte Carlo where
-    scales reach ~n**2 steps.
+    Relative accuracy about 1e-7 (the quadrature budget); intended for the
+    ensemble Monte Carlo, where scales reach ~n**2 steps, and for vectors
+    past the step cap of :func:`expected_time_series`.
     """
     arr = _as_p(p)
     if arr.size == 0:
@@ -256,9 +296,10 @@ def expected_time_bulk(P: np.ndarray) -> np.ndarray:
 
     The rows, in one p_max order over the whole matrix, are taken in
     sub-blocks of about _X_BUDGET overlaps, each sorted as it is taken, by
-    the saturated count, the exact head, the Euler-Maclaurin integral and
-    the closed-form tail described in the module docstring.  Accuracy ~1e-5
-    relative.
+    the saturated count, the exact head to step 64, the Euler-Maclaurin
+    sum with its error-sized Gauss-Kronrod integral and the closed-form tail
+    described in the module docstring.  Accuracy about 1e-7 relative: the
+    quadrature error estimates of a row add up to at most 1e-7 of its T.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2:
@@ -294,7 +335,8 @@ def _sub_block_times(P: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(start == 0)           # not retired in the head
     if rows.size:
         a = np.maximum(saturated[rows], _EXACT_HEAD) + 1.0
-        middle, start[rows] = _euler_maclaurin(logp[rows], a, positives[rows], top)
+        middle, start[rows] = _euler_maclaurin(logp[rows], a, positives[rows], top,
+                                               T[rows])
         T[rows] += middle
     return T + _closed_form_tail(logp, start, top)
 
@@ -333,7 +375,7 @@ def _exact_head(P, T, start, rows, top) -> None:
             np.multiply(pks[j - 1], p, out=pks[j])
         alive = np.logical_and.accumulate(pks.sum(axis=1) > _TAIL_S_THRESHOLD)
         # q_1 may be as small as p_max, so it is taken in log space
-        q_1 = _q(pks[0].T) if k == 1 else None
+        q_1 = _q(pks[0].T.copy()) if k == 1 else None
         pk[...] = pks[-1]
         q = 1.0 - np.prod(np.subtract(1.0, pks, out=pks), axis=1)
         del pks                     # freed before the next batch is allocated
@@ -384,11 +426,16 @@ def _first_step(done, size: int) -> np.ndarray:
 
 
 def _euler_maclaurin(L: np.ndarray, a: np.ndarray, positives: np.ndarray,
-                     top: np.ndarray):
+                     top: np.ndarray, scale: np.ndarray):
     """(sum_{k=a}^{b} q_k, b) per row, a given per row and b where S(b) is small.
 
-    The sum is the Gauss-Legendre integral of q(x) over panels of a
-    geometric grid, plus (q(a) + q(b))/2 + (q'(b) - q'(a))/12.
+    The sum is the integral of q(x) from a to b plus (q(a) + q(b))/2 +
+    (q'(b) - q'(a))/12.  The integral is taken in u = log x by the
+    Gauss-Kronrod 7/15 rule on panels, at first of ratio 4 in x.  A panel
+    whose error estimate |K15 - G7| exceeds its share (its width in u over
+    the row's) of the budget _QUAD_TOL * (scale + integral) is halved and
+    taken again in the next round, so the estimates of a row's final panels
+    add up to at most its budget.
     """
     # S(x) is dominated by exp(x * log p_max); solve for the cut generously
     x_cut = np.maximum(2.0 * a, np.log(np.maximum(positives, 2)
@@ -402,23 +449,26 @@ def _euler_maclaurin(L: np.ndarray, a: np.ndarray, positives: np.ndarray,
         grow[grow] = _powers(L[grow], b[grow], top).sum(axis=1) > _TAIL_S_THRESHOLD
     b = np.ceil(b)
 
-    # panels of equal width in u = log x; a row past its last panel adds 0
-    panels = np.maximum(1.0, np.ceil(np.log2(b / a) * 1.5))
-    i = np.arange(panels.max())[:, None]
-    width = (np.log(b) - np.log(a)) / panels
-    lu = np.log(a) + width * np.minimum(i, panels)
-    half = np.where(i < panels, 0.5 * width, 0.0)
-    xs = np.exp((lu + half)[:, None] + half[:, None] * _GL_NODES[:, None])
-    xs = xs.reshape(-1, len(L))                 # (panels * nodes, rows)
-    w = (half[:, None] * _GL_WEIGHTS[:, None]).reshape(xs.shape) * xs
-    # each row's nodes ascend, so a chunk's live columns are those of its
-    # first node: chunks of about _X_BUDGET powers grow as columns die
+    # each row's span in u = log x, cut into equal panels of width <= log 4
+    span = np.log(b) - np.log(a)
+    count = np.maximum(1, np.ceil(span / _PANEL)).astype(np.intp)
+    row = np.repeat(np.arange(len(L)), count)
+    width = (span / count)[row]
+    nth = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    left = np.log(a)[row] + width * nth
     integral = np.zeros(len(L))
-    j = 0
-    while j < len(xs):
-        step = rows_chunk(len(L) * _live(top, xs[j].min()), _X_BUDGET)
-        integral += (w[j:j + step] * _q(_powers(L, xs[j:j + step], top))).sum(axis=0)
-        j += step
+    budget = None
+    while row.size:
+        value, error = _kronrod(L, row, left, width, top)
+        if budget is None:
+            budget = _QUAD_TOL * (scale + np.bincount(row, value, len(L)))
+        # halving stops at 2**-30 of log 4, so rounding noise cannot split forever
+        split = ((error * span[row] > budget[row] * width)
+                 & (width > _PANEL * 2.0 ** -30))
+        integral += np.bincount(row[~split], value[~split], len(L))
+        row, left = np.repeat(row[split], 2), np.repeat(left[split], 2)
+        width = np.repeat(0.5 * width[split], 2)
+        left[1::2] += width[1::2]
 
     ends = []
     for x in (a, b):
@@ -431,6 +481,29 @@ def _euler_maclaurin(L: np.ndarray, a: np.ndarray, positives: np.ndarray,
         ends.append((-np.expm1(log_l), slope))
     (fa, dfa), (fb, dfb) = ends
     return integral + 0.5 * (fa + fb) + (dfb - dfa) / 12.0, b
+
+
+def _kronrod(L, row, left, width, top):
+    """(K15, |K15 - G7|) of the integral of q(e**u) e**u over each panel.
+
+    Panel i spans [left_i, left_i + width_i] in u for row ``row_i`` of L.
+    The nodes of all panels are taken in ascending x, so that each chunk
+    keeps only the columns live at its first node.  A chunk holds its rows'
+    log overlaps and their powers, about _X_BUDGET / 2 floats each.
+    """
+    x = np.exp(left[:, None] + (0.5 * width)[:, None] * (1.0 + _GK_NODES)).ravel()
+    rows = np.repeat(row, len(_GK_NODES))
+    order = np.argsort(x)
+    f = np.empty_like(x)
+    j = 0
+    while j < x.size:
+        live = _live(top, x[order[j]])
+        idx = order[j:j + rows_chunk(live, _X_BUDGET // 2)]
+        f[idx] = _q(_powers(L[rows[idx], :live], x[idx], top)) * x[idx]
+        j += idx.size
+    f = f.reshape(len(row), -1)
+    return (0.5 * width * (f @ _GK_WEIGHTS),
+            0.5 * width * np.abs(f @ (_GK_WEIGHTS - _GAUSS_WEIGHTS)))
 
 
 def _closed_form_tail(logp: np.ndarray, k: np.ndarray, top: np.ndarray) -> np.ndarray:

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import ensemble as ens
 from . import harness, moment_zeta, simulators
-from .batch_exact import expected_time_series, n_delta as exact_n_delta
+from .batch_exact import (expected_time_fast, expected_time_series,
+                          n_delta as exact_n_delta)
 from .errors import (CensoringError, ConfigError, DivergenceError,
                      PrecisionLossError)
 from .harness import RunConfig, json_text, rows_csv
@@ -101,9 +102,16 @@ def _cmd_zeta(cfg: RunConfig) -> str:
 
 
 def _cmd_exact_time(cfg: RunConfig) -> str:
-    est = expected_time_series(np.asarray(cfg.p), eps=cfg.eps)
+    p = np.asarray(cfg.p)
+    try:
+        est, route = expected_time_series(p, eps=cfg.eps), "series"
+    except PrecisionLossError:
+        # the series cannot meet eps within its step cap; the per-vector
+        # evaluator has no step cap and is good to about 1e-7 relative
+        est, route = expected_time_fast(p), "evaluator"
     return json_text({"p": list(cfg.p), "eps": cfg.eps, "t": est.t,
-                      "steps_expectation": est.steps_expectation})
+                      "steps_expectation": est.steps_expectation,
+                      "route": route})
 
 
 def _cmd_ndelta(cfg: RunConfig) -> str:

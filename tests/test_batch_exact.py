@@ -10,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from batchlab.batch_exact import (_X_BUDGET, _first_step, coarse_bounds,
+from batchlab import batch_exact
+from batchlab.batch_exact import (_EXACT_HEAD, _GAUSS_WEIGHTS, _GK_NODES,
+                                  _GK_WEIGHTS, _QUAD_TOL, _X_BUDGET,
+                                  _first_step, coarse_bounds,
                                   expected_time_bulk, expected_time_fast,
                                   expected_time_series, n_delta, sandwich,
                                   survival, survival_bulk)
+from batchlab.distributions import power_tail
 from batchlab.errors import DivergenceError, PrecisionLossError
-from batchlab.rng import rows_chunk
+from batchlab.rng import STREAM_ENSEMBLE, derive_rng, rows_chunk
 from batchlab.simulators import run_trials
 from tests.oracles import (expected_time_subsets, simulate_batch,
                            simulate_batch_wordlevel, simulate_full_memory,
@@ -315,21 +319,89 @@ class TestLargeScaleEvaluators:
         with pytest.raises(DivergenceError):
             expected_time_bulk(np.asarray([[0.5, 1.0]]))
 
-    def test_saturated_past_the_head(self, rng):
-        # S(256) = sum p**256 >= 40: q_k rounds to 1.0 beyond the exact head,
+    @pytest.mark.parametrize("n,p", [(2000, 0.995), (10**4, 0.99), (200, 0.98)])
+    def test_saturated_past_the_head(self, rng, n, p):
+        # S(64) = sum p**64 >= 40: q_k rounds to 1.0 beyond the exact head,
         # so these rows count their saturated steps and start the integral
-        # after them instead of at step 257
-        P = np.zeros((3, 2000))
+        # after them; the all-equal row has a Gumbel-sharp front after its
+        # saturated steps, sharper as n grows
+        P = np.zeros((3, max(n, 2000)))
         P[0, :500] = rng.uniform(0.99, 0.999, 500)
-        P[1] = 0.995
+        P[1, :n] = p
         P[2, :300] = rng.uniform(0.995, 0.998, 300)
         P[2, 300:500] = rng.random(200) * 0.5
-        assert np.all((P ** 256).sum(axis=1) >= 40.0)
+        assert np.all((P ** _EXACT_HEAD).sum(axis=1) >= 40.0)
         got = expected_time_bulk(P)
         for row, t in zip(P, got):
             want = expected_time_series(row, eps=1e-9).t
             assert abs(t - want) <= 2e-5 * want
             assert_allclose(expected_time_fast(row).t, t, rtol=1e-12)
+        want = expected_time_series(P[1], eps=1e-11).t
+        assert abs(got[1] - want) <= _QUAD_TOL * want
+
+    def test_integral_from_the_head_end_with_fast_columns_live(self, rng):
+        # one slow column keeps each row alive past the exact head, while up
+        # to a thousand fast columns (p**65 from 5e-7 to 0.04) still shape q
+        # at step 65, where the integral starts
+        P = np.zeros((4, 1000))
+        P[:, 0] = [0.97, 0.98, 0.99, 0.995]
+        P[0, 1:] = rng.uniform(0.8, 0.95, 999)
+        P[1, 1:100] = rng.uniform(0.9, 0.96, 99)
+        P[2, 1:] = rng.random(999) * 0.97
+        P[3, 1:10] = rng.uniform(0.85, 0.9, 9)
+        s_head = (P ** _EXACT_HEAD).sum(axis=1)
+        assert np.all((s_head > 1e-4) & (s_head < 40.0))
+        got = expected_time_bulk(P)
+        for row, t in zip(P, got):
+            want = expected_time_series(row, eps=1e-11).t
+            assert abs(t - want) <= _QUAD_TOL * want
+
+    def test_one_overlap(self):
+        # n = 1: q_k = p**k, so T = p / (1 - p) exactly; the rows either
+        # retire in the head or take the integral from its end, and the
+        # last is past the series' step cap
+        p = np.asarray([0.01, 0.3, 0.9, 0.99, 0.999, 0.99999, 1.0 - 1e-9])
+        got = expected_time_bulk(p[:, None])
+        assert_allclose(got, p / (1.0 - p), rtol=_QUAD_TOL)
+        for x, t in zip(p[:-1], got):
+            assert abs(t - expected_time_series([x], eps=1e-11).t) <= _QUAD_TOL * t
+
+    def test_gauss_kronrod_rule(self):
+        # K15 integrates x**k exactly up to k = 22, G7 up to k = 13, and the
+        # Gauss nodes and weights are those of numpy's 7-point rule
+        k = np.arange(23)
+        exact = np.where(k % 2 == 0, 2.0 / (k + 1.0), 0.0)
+        powers = _GK_NODES[None, :] ** k[:, None]
+        assert_allclose(powers @ _GK_WEIGHTS, exact, rtol=0, atol=1e-15)
+        assert_allclose(powers[:14] @ _GAUSS_WEIGHTS, exact[:14], rtol=0, atol=1e-15)
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert_allclose(_GK_NODES[1::2], nodes, rtol=0, atol=1e-15)
+        assert_allclose(_GAUSS_WEIGHTS[1::2], weights, rtol=0, atol=1e-15)
+        assert not _GAUSS_WEIGHTS[::2].any()
+
+
+class TestWorkCount:
+    # powers p**x that the kernel forms over one evaluation of per_vector-
+    # shaped inputs: 40 x 1000 overlaps for beta = 1, 0, -0.5 and 2000 short
+    # rows of 6; a count, so host speed cannot move it
+    POWERS = 2_404_923
+
+    def test_kernel_cells(self, monkeypatch):
+        cells = []
+        powers = batch_exact._powers
+
+        def counted(*args):
+            out = powers(*args)
+            cells.append(out.size)
+            return out
+
+        monkeypatch.setattr(batch_exact, "_powers", counted)
+        for beta in (1.0, 0.0, -0.5):
+            draws = power_tail(beta).sample(40 * 1000,
+                                            derive_rng(801, STREAM_ENSEMBLE, 2, 0))
+            expected_time_bulk(draws.reshape(40, 1000))
+        expected_time_bulk(np.random.default_rng(801).random((2000, 6)) * 0.999)
+        assert abs(sum(cells) - self.POWERS) <= 0.05 * self.POWERS
 
 
 def _entry_points():

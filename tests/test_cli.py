@@ -100,6 +100,19 @@ class TestExactTimeAndNDelta:
         payload = json.loads(out)
         assert abs(payload["t"] - 5.0 / 3.0) < 1e-9
         assert abs(payload["steps_expectation"] - 8.0 / 3.0) < 1e-9
+        assert payload["route"] == "series"
+
+    def test_past_the_series_cap_answers_by_the_evaluator(self, capsys):
+        # p = 1 - 1e-9: the series tail bound cannot reach eps within 2**25
+        # steps, so the per-vector evaluator answers; one overlap has
+        # T = p / (1 - p) exactly
+        p = 0.999999999
+        code, out, _ = run_cli(["exact-time", "--p", str(p)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["route"] == "evaluator"
+        assert abs(payload["t"] - p / (1.0 - p)) <= 1e-7 * p / (1.0 - p)
+        assert payload["steps_expectation"] == payload["t"] + 1.0
 
     def test_divergent_vector(self, capsys):
         code, _, _ = run_cli(["exact-time", "--p", "0.5,1.0"], capsys)
