@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, PrecisionLossError
+from .errors import ConfigError, DivergenceError, PrecisionLossError
 from .rng import rows_chunk
 
 _TAIL_S_THRESHOLD = 1e-4   # retire a vector to closed-form tail once S(k) <= this
@@ -107,7 +107,7 @@ class TimeEstimate(NamedTuple):
 def _as_p(p, forbid_one: bool = True) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
     if arr.ndim != 1:
-        raise ValueError("overlap vector must be one-dimensional")
+        raise ConfigError("overlap vector must be one-dimensional")
     return _checked(arr, forbid_one)
 
 
@@ -115,13 +115,13 @@ def _checked(arr: np.ndarray, forbid_one: bool = True) -> np.ndarray:
     """``arr`` if every entry lies in [0, 1], and below 1 when ``forbid_one``.
 
     NaN fails the range test (every comparison with it is false), so it
-    raises ValueError like any other entry outside [0, 1]; only an entry of
+    raises ConfigError like any other entry outside [0, 1]; only an entry of
     exactly 1 raises DivergenceError.
     """
     if arr.size:
         lo, hi = arr.min(), arr.max()
         if not (lo >= 0.0 and hi <= 1.0):
-            raise ValueError("overlap probabilities must lie in [0, 1], got "
+            raise ConfigError("p entries must lie in [0, 1], got "
                              f"min {lo} and max {hi}")
         if forbid_one and hi == 1.0:
             raise DivergenceError("an overlap probability of exactly 1 makes the "
@@ -180,7 +180,7 @@ def _q(pk: np.ndarray) -> np.ndarray:
 def survival(p, k: int) -> float:
     """q_k = 1 - prod_i (1 - p_i**k), in log space to dodge underflow."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigError("k must be >= 1")
     return float(survival_bulk(p, [float(k)])[0])
 
 
@@ -197,7 +197,7 @@ def survival_bulk(p, ks) -> np.ndarray:
 def sandwich(p, k: int) -> tuple[float, float]:
     """(max_i p_i**k, min(1, sum_i p_i**k)): certified bracket around q_k."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigError("k must be >= 1")
     logp = _log_desc(_as_p(p, forbid_one=False))
     if logp.size == 0:
         return 0.0, 0.0
@@ -236,8 +236,8 @@ def expected_time_series(p, eps: float = 1e-12) -> TimeEstimate:
     Raises PrecisionLossError, before summing, if the bound cannot reach eps
     within 2**25 steps (use :func:`expected_time_fast` for such scales).
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ConfigError("eps must be positive and finite")
     arr = _as_p(p)
     if arr.size == 0:
         return TimeEstimate(0.0, 0.0)
@@ -264,7 +264,7 @@ def expected_time_series(p, eps: float = 1e-12) -> TimeEstimate:
 def n_delta(p, delta: float) -> int:
     """Smallest k >= 1 with survival(p, k) <= delta."""
     if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+        raise ConfigError("delta must lie in (0, 1)")
     logp = _log_desc(_as_p(p))
     if logp.size == 0:
         return 1
@@ -303,7 +303,7 @@ def expected_time_bulk(P: np.ndarray) -> np.ndarray:
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2:
-        raise ValueError("P must be (rows, n)")
+        raise ConfigError("P must be (rows, n)")
     _checked(P)
     rows, n = P.shape
     T = np.zeros(rows)
@@ -403,15 +403,18 @@ def _first_step(done, size: int) -> np.ndarray:
     empty arrays.  k is found by doubling and then bisection: O(log k)
     calls.  Past 2**53 the float64 grid is coarser than 1 and the bisection
     stops once the midpoint rounds onto an end, so k is then good to the
-    float64 spacing; a k past the float64 range comes back as inf.
+    float64 spacing; a k past the float64 range comes back as inf, also
+    where ``done`` never holds.
     """
     lo = np.zeros(size)                         # not done at lo (k = 0 by fiat)
     hi = np.ones(size)                          # done at hi once doubling stops
     idx = np.arange(size)
-    while idx.size:
+    for doubling in range(1024):                # every pending hi is 2**doubling
+        if not idx.size:
+            break
         idx = idx[~done(idx, hi[idx])]
         lo[idx] = hi[idx]
-        hi[idx] *= 2.0
+        hi[idx] *= 2.0 if doubling < 1023 else math.inf     # 2**1024 is past float64
     idx = np.flatnonzero(hi - lo > 1.0)
     while idx.size:
         mid = np.floor(lo[idx] + 0.5 * (hi[idx] - lo[idx]))

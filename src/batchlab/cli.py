@@ -3,10 +3,10 @@
 Subcommands: zeta, exact-time, ndelta, simulate, ensemble, extremes,
 scaling, compare.  Each is one entry of ``_COMMANDS``: its help line, its
 flags, the flag it cannot run without, the formats it writes (default
-first) and its handler.  Global flags (--seed, --out, --format, --config,
---threads) may also come from a flat key=value config file; explicit flags
-win.  Every flag value is text, parsed by :meth:`RunConfig.merged` exactly
-as a config-file value is, so a malformed value is a config error.
+first) and its handler.  Any of a command's flags may also come from a flat
+key=value config file, which may set no other key; explicit flags win.
+Every flag value is text, parsed by :meth:`RunConfig.merged` exactly as a
+config-file value is, so a malformed value is a config error.
 Exit codes: 0 success, 1 any other error (with a traceback),
 2 config error, 3 divergence signal, 4 precision or censoring failure.
 """
@@ -23,6 +23,7 @@ import numpy as np
 
 from . import ensemble as ens
 from . import harness, moment_zeta, simulators
+from .distributions import parse_dist
 from .batch_exact import (expected_time_fast, expected_time_series,
                           n_delta as exact_n_delta)
 from .errors import (CensoringError, ConfigError, DivergenceError,
@@ -83,7 +84,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if path:
         try:
             with open(path) as fh:
-                base = RunConfig.from_text(fh.read())
+                # a file sets only the fields of the command's own flags
+                base = RunConfig.from_text(fh.read(), keys=set(values) - {"command"})
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}")
     return base.merged(values)
@@ -95,21 +97,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_zeta(cfg: RunConfig) -> str:
-    z = moment_zeta.zeta(cfg.distribution(), cfg.s, eps=cfg.eps)
+    z = moment_zeta.zeta(parse_dist(cfg.dist), cfg.s, eps=cfg.read("eps"))
     return json_text({"dist": cfg.dist, "s": z.s, "value": z.value,
                       "k_used": z.k_used, "error_bound": z.error_bound,
-                      "eps": cfg.eps})
+                      "eps": cfg.read("eps")})
 
 
 def _cmd_exact_time(cfg: RunConfig) -> str:
-    p = np.asarray(cfg.p)
+    p, eps = np.asarray(cfg.p), cfg.read("eps")
     try:
-        est, route = expected_time_series(p, eps=cfg.eps), "series"
+        est, route = expected_time_series(p, eps=eps), "series"
     except PrecisionLossError:
         # the series cannot meet eps within its step cap; the per-vector
         # evaluator has no step cap and is good to about 1e-7 relative
         est, route = expected_time_fast(p), "evaluator"
-    return json_text({"p": list(cfg.p), "eps": cfg.eps, "t": est.t,
+    return json_text({"p": list(cfg.p), "eps": eps, "t": est.t,
                       "steps_expectation": est.steps_expectation,
                       "route": route})
 
@@ -120,10 +122,18 @@ def _cmd_ndelta(cfg: RunConfig) -> str:
 
 
 def _cmd_simulate(cfg: RunConfig) -> str:
+    if not cfg.p and cfg.n is None:
+        raise ConfigError("simulate requires --n (or --fixed-p)")
+    if cfg.p and cfg.n not in (None, len(cfg.p)):
+        raise ConfigError(f"n = {cfg.n} disagrees with the {len(cfg.p)} "
+                          f"entries of --fixed-p")
+    if cfg.p and cfg.dist != RunConfig.dist:
+        raise ConfigError(f"dist {cfg.dist} cannot be used with --fixed-p, "
+                          f"which fixes the overlaps instead of a law")
     fixed = np.asarray(cfg.p) if cfg.p else None
     batch = simulators.run_trials(
-        cfg.algorithm, cfg.distribution(), cfg.n or 0, cfg.trials, cfg.seed,
-        fixed_p=fixed, horizon=cfg.horizon, threads=cfg.threads)
+        cfg.algorithm, parse_dist(cfg.dist), cfg.n or 0, cfg.read("trials"),
+        cfg.seed, fixed_p=fixed, horizon=cfg.horizon, threads=cfg.threads)
     if cfg.dump:
         rows = [{"trial": i, "time": int(t) if math.isfinite(t) else "inf"}
                 for i, t in enumerate(batch.times.tolist())]
@@ -139,7 +149,7 @@ def _table(cfg: RunConfig, rows: list, columns: list) -> str:
 
 def _cmd_ensemble(cfg: RunConfig) -> str:
     t0 = time.perf_counter()
-    est = ens.ensemble_estimate(cfg.distribution(), cfg.n,
+    est = ens.ensemble_estimate(parse_dist(cfg.dist), cfg.n,
                                 cfg.method or "moment_series",
                                 trials=cfg.trials, seed=cfg.seed,
                                 threads=cfg.threads, eps=cfg.eps)
@@ -152,7 +162,7 @@ def _cmd_ensemble(cfg: RunConfig) -> str:
 
 def _cmd_extremes(cfg: RunConfig) -> str:
     t0 = time.perf_counter()
-    rep = ens.extreme_value(cfg.distribution(), cfg.n_sweep, cfg.trials,
+    rep = ens.extreme_value(parse_dist(cfg.dist), cfg.n_sweep, cfg.read("trials"),
                             cfg.seed, threads=cfg.threads)
     elapsed = time.perf_counter() - t0
     rows = [{"dist": cfg.dist, "n": n, "method": "mc_min_gap",

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import poch
 
+from .errors import ConfigError
+
 _ULP = 2.0 ** -52
 
 
@@ -41,16 +43,16 @@ class OverlapDistribution:
 
     def __post_init__(self):
         if not self.beta > -1.0:
-            raise ValueError("powertail requires beta > -1 (density must be integrable)")
+            raise ConfigError("powertail requires beta > -1 (density must be integrable)")
         try:
             c = math.gamma(self.beta + 2.0)     # inf at beta = inf
         except OverflowError:
             c = math.inf
         if c == math.inf:
-            raise ValueError(f"powertail beta = {self.beta:g} is too large: "
+            raise ConfigError(f"powertail beta = {self.beta:g} is too large: "
                              "Gamma(beta + 2), the moments' constant, overflows")
         if not 0.0 < self.a <= 1.0:
-            raise ValueError("scaled requires a in (0, 1]")
+            raise ConfigError("scaled requires a in (0, 1]")
 
     # ------------------------------------------------------------------
     # identity
@@ -68,7 +70,7 @@ class OverlapDistribution:
     # ------------------------------------------------------------------
 
     def density(self, x):
-        """Density f(x); raises ValueError outside [0, 1]."""
+        """Density f(x); raises ConfigError outside [0, 1]."""
         x, scalar = _check_domain(x)
         inside = x <= self.a
         y = np.where(inside, x / self.a, 0.0)
@@ -78,7 +80,7 @@ class OverlapDistribution:
         return float(out) if scalar else out
 
     def cdf(self, x):
-        """CDF F(x); raises ValueError outside [0, 1]."""
+        """CDF F(x); raises ConfigError outside [0, 1]."""
         x, scalar = _check_domain(x)
         y = np.minimum(x / self.a, 1.0)
         if self.beta != 0.0:
@@ -99,7 +101,7 @@ class OverlapDistribution:
         resampled.
         """
         if n < 0:
-            raise ValueError("n must be >= 0")
+            raise ConfigError("n must be >= 0")
         x = self._sample(n, rng)
         bad = x >= 1.0
         while bad.any():
@@ -125,7 +127,7 @@ class OverlapDistribution:
     def moment(self, k: int) -> float:
         """k-th moment m_k = E[X^k], k >= 1.  Closed form for every law."""
         if k < 1:
-            raise ValueError("k must be >= 1")
+            raise ConfigError("k must be >= 1")
         return float(self.moments(np.asarray([k], dtype=np.float64))[0])
 
     def moments(self, k) -> np.ndarray:
@@ -182,11 +184,11 @@ class OverlapDistribution:
         w_k is monotone in k with limit (alpha+1)/2 (constant 1 at alpha = 1).
         The single tail bracket of :mod:`batchlab.moment_zeta` relies on this.
 
-        Raises ValueError("no power tail") for scaled support with a < 1,
-        whose moments decay geometrically.
+        Raises ConfigError("dist has no power tail") for scaled support with
+        a < 1, whose moments decay geometrically.
         """
         if self.a != 1.0:
-            raise ValueError("no power tail: scaled support a < 1 has geometric moment decay")
+            raise ConfigError("dist has no power tail: its moments decay geometrically")
         return self.beta + 1.0, math.gamma(self.beta + 2.0)
 
 
@@ -207,7 +209,7 @@ def scaled(a: float, inner: OverlapDistribution) -> OverlapDistribution:
     """The law of a*Y for Y drawn from ``inner``, 0 < a <= 1."""
     a = float(a)
     if not 0.0 < a <= 1.0:
-        raise ValueError("scaled requires a in (0, 1]")
+        raise ConfigError("scaled requires a in (0, 1]")
     return OverlapDistribution(inner.beta, a * inner.a)
 
 
@@ -222,17 +224,17 @@ def parse_dist(spec: str) -> OverlapDistribution:
     if spec.startswith("powertail:"):
         args = spec[len("powertail:"):]
         if not args.startswith("beta="):
-            raise ValueError(f"powertail spec needs beta=<float>, got {spec!r}")
+            raise ConfigError(f"powertail spec needs beta=<float>, got {spec!r}")
         return power_tail(_parse_float(args[len("beta="):], spec))
     if spec.startswith("scaled:"):
         args = spec[len("scaled:"):]
         marker = ",inner="
         pos = args.find(marker)
         if not args.startswith("a=") or pos < 0:
-            raise ValueError(f"scaled spec needs a=<float>,inner=<spec>, got {spec!r}")
+            raise ConfigError(f"scaled spec needs a=<float>,inner=<spec>, got {spec!r}")
         a = _parse_float(args[len("a="):pos], spec)
         return scaled(a, parse_dist(args[pos + len(marker):]))
-    raise ValueError(f"unknown distribution spec {spec!r}")
+    raise ConfigError(f"unknown distribution spec {spec!r}")
 
 
 def _float_text(x: float) -> str:
@@ -245,12 +247,12 @@ def _parse_float(text: str, spec: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ValueError(f"bad float {text!r} in distribution spec {spec!r}") from None
+        raise ConfigError(f"bad float {text!r} in distribution spec {spec!r}") from None
 
 
 def _check_domain(x):
     """(x as float64, is scalar); NaN fails the range test like x outside [0, 1]."""
     x_arr = np.asarray(x, dtype=np.float64)
     if x_arr.size and not (x_arr.min() >= 0.0 and x_arr.max() <= 1.0):
-        raise ValueError("x must lie in [0, 1]")
+        raise ConfigError("x must lie in [0, 1]")
     return x_arr, x_arr.ndim == 0

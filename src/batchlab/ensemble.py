@@ -38,15 +38,16 @@ from . import calibration
 # expected_time_fast is unused here; bench/layertrace.py wraps it in this module
 from .batch_exact import expected_time_bulk, expected_time_fast  # noqa: F401
 from .distributions import _ULP, OverlapDistribution
-from .errors import DivergenceError, PrecisionLossError
+from .errors import ConfigError, DivergenceError, PrecisionLossError
 from .moment_zeta import _certified_sum, zeta
 # bench/layertrace.py patches map_chunks in this module, so the name stays
 from .rng import STREAM_ENSEMBLE, STREAM_EXTREMES, map_chunks  # noqa: F401
-from .simulators import (_map_overlap_rows, _map_rows, _median_ci_halfwidth,
-                         run_trials)
+from .simulators import (DEFAULT_TRIALS, _map_overlap_rows, _map_rows,
+                         _median_ci_halfwidth, run_trials)
 
 _CONDITION_LIMIT = 1e6      # ulp-loss refusal threshold for the zeta sum
 _ZETA_EPS = 1e-11           # truncation of each zeta value in the zeta sum
+DEFAULT_EPS = 1e-6          # truncation of the moment series when none is given
 
 METHODS = ("zeta_sum", "moment_series", "integral_asymptotic", "monte_carlo")
 
@@ -92,10 +93,10 @@ def expected_time_zeta_sum(dist: OverlapDistribution, n: int) -> ZetaSumTime:
     estimated ulp loss sum|t_k| / |T| exceeds 1e6.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     if n > 30:
-        raise ValueError("zeta-sum route is limited to n <= 30; "
-                         "use expected_time_moment_series")
+        raise ConfigError("n must be <= 30 for the zeta sum; "
+                          "use expected_time_moment_series")
     terms = []
     for k in range(1, n + 1):
         zk = zeta(dist, float(k), eps=_ZETA_EPS).value
@@ -116,7 +117,7 @@ def expected_time_zeta_sum(dist: OverlapDistribution, n: int) -> ZetaSumTime:
 
 
 def expected_time_moment_series(dist: OverlapDistribution, n: int,
-                                eps: float = 1e-6) -> MomentSeriesTime:
+                                eps: float = DEFAULT_EPS) -> MomentSeriesTime:
     """T = sum_{j>=1} [1 - (1-m_j)**n], with truncation error at most eps.
 
     Terms use expm1/log1p forms.  A discarded term 1 - (1-m)**n is
@@ -134,9 +135,9 @@ def expected_time_moment_series(dist: OverlapDistribution, n: int,
     infinite: use :func:`alpha1_decomposition`.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+        raise ConfigError("n must be >= 1")
+    if not 0.0 < eps < math.inf:
+        raise ConfigError("eps must be positive and finite")
     if dist.has_power_tail:
         alpha, _ = dist.tail_parameters()
         if alpha <= 1.0:
@@ -167,15 +168,15 @@ def alpha1_decomposition(dist: OverlapDistribution, n: int,
     half-width is about n**2/J**3, so J grows like (n**2/eps)**(1/3): an
     absolute eps = 1e-6 at n = 1e7 takes about 0.2 s.  ``error_bound`` adds
     the tail's sensitivity to the error of m_J and a rounding allowance.
-    Requires n >= 2 and a tail exponent of exactly 1.
+    Requires n >= 2, a tail exponent of exactly 1 and a finite eps > 0.
     """
     if n < 2:
-        raise ValueError("n must be >= 2 for the alpha = 1 split")
-    if not dist.has_power_tail:
-        raise ValueError("alpha = 1 split needs a power-tail family")
+        raise ConfigError("n must be >= 2 for the alpha = 1 split")
     alpha, c = dist.tail_parameters()
     if abs(alpha - 1.0) > 1e-12:
-        raise ValueError(f"alpha = 1 split is only valid at alpha = 1, got {alpha:g}")
+        raise ConfigError(f"dist must have alpha = 1 for this split, got {alpha:g}")
+    if eps is not None and not 0.0 < eps < math.inf:
+        raise ConfigError("eps must be positive and finite")
 
     def goal(partial):
         return eps if eps is not None else 1e-8 * max(1.0, abs(partial))
@@ -273,13 +274,11 @@ def expected_time_integral(dist: OverlapDistribution, n: int) -> float:
     n = 1e4 it lies above the series by 0.1% (beta = 0.5), 0.8% (beta = 1)
     and 4.9% (beta = 2).  ROADMAP item G is the two-term expansion.
     """
-    if not dist.has_power_tail:
-        raise ValueError("limit integral needs a power-tail family")
     alpha, c = dist.tail_parameters()
     if alpha <= 1.0:
         raise DivergenceError(f"limit integral diverges for alpha = {alpha:g} <= 1")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     return n ** (1.0 / alpha) * c ** (1.0 / alpha) * math.gamma(1.0 - 1.0 / alpha)
 
 
@@ -314,12 +313,12 @@ def sum_inverse_gap_concentration(dist: OverlapDistribution, n: int,
     beta < 0: S/n**(1/(1+beta)) is tight with no point limit.
     """
     if n < 1 or trials < 1:
-        raise ValueError("n and trials must be >= 1")
+        raise ConfigError("n and trials must be >= 1")
     alpha, _ = dist.tail_parameters()
     beta = alpha - 1.0
     if beta == 0.0 and n < 2:
-        raise ValueError("n must be >= 2 for beta = 0, whose normalizer n log n "
-                         "is 0 at n = 1")
+        raise ConfigError("n must be >= 2 for beta = 0, whose normalizer n log n "
+                          "is 0 at n = 1")
 
     s = _map_overlap_rows(lambda P, rng: (1.0 / (1.0 - P)).sum(axis=1),
                           dist, n, trials, seed, (STREAM_ENSEMBLE, 1),
@@ -384,12 +383,14 @@ def extreme_value(dist: OverlapDistribution, n_values: Sequence[int],
     Every law with a power tail has P(1 - p <= x) = x**alpha exactly, so each
     trial's minimum gap is drawn by inversion of its law from one uniform of
     the chunk streams ``(seed, STREAM_EXTREMES, j, i)`` for the j-th n; no
-    overlap vector is drawn.
+    overlap vector is drawn.  Needs n-sweep entries >= 1 and trials >= 2.
     """
     if not n_values:
-        raise ValueError("need at least one n value")
+        raise ConfigError("n-sweep must hold at least one n value")
+    if min(n_values) < 1:
+        raise ConfigError("n-sweep entries must be >= 1")
     if trials < 2:
-        raise ValueError("trials must be >= 2")
+        raise ConfigError("trials must be >= 2")
     alpha, _ = dist.tail_parameters()
     beta = alpha - 1.0
 
@@ -457,7 +458,7 @@ def regime_window_check(dist: OverlapDistribution, n: int, trials: int,
     """Sample p-vectors, compute per-sample expected word counts, and report
     how they sit inside the frozen order-of-magnitude window."""
     if n < 2 or trials < 1:
-        raise ValueError("n must be >= 2 and trials >= 1")
+        raise ConfigError("n must be >= 2 and trials >= 1")
     alpha, _ = dist.tail_parameters()
     beta = alpha - 1.0
 
@@ -497,24 +498,33 @@ def regime_window_check(dist: OverlapDistribution, n: int, trials: int,
 
 
 def ensemble_estimate(dist: OverlapDistribution, n: int, method: str,
-                      trials: int = 2000, seed: int = 0,
-                      threads: int = 1, eps: float = 1e-6) -> EnsembleEstimate:
+                      trials: Optional[int] = None, seed: int = 0, threads: int = 1,
+                      eps: Optional[float] = None) -> EnsembleEstimate:
     """Evaluate one expected-time estimate by the named method.
 
     ``monte_carlo`` reports the median simulated learning time (the robust
     statistic that remains meaningful when alpha <= 1 and E[T] does not
-    exist); the other methods require alpha > 1.
+    exist); the other methods require alpha > 1.  ``trials`` is read by
+    ``monte_carlo`` only and ``eps`` by ``moment_series`` only, so either
+    one given to another method is refused.
     """
+    if method not in METHODS:
+        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    if n < 1:
+        raise ConfigError("n must be >= 1")
+    if trials is not None and method != "monte_carlo":
+        raise ConfigError(f"trials is read by method monte_carlo only, not {method}")
+    if eps is not None and method != "moment_series":
+        raise ConfigError(f"eps is read by method moment_series only, not {method}")
     if method == "zeta_sum":
         r = expected_time_zeta_sum(dist, n)
         return EnsembleEstimate(n, method, r.value, None)
     if method == "moment_series":
-        r = expected_time_moment_series(dist, n, eps=eps)
+        r = expected_time_moment_series(dist, n, eps=DEFAULT_EPS if eps is None else eps)
         return EnsembleEstimate(n, method, r.value, r.error_bound)
     if method == "integral_asymptotic":
         return EnsembleEstimate(n, method, expected_time_integral(dist, n), None)
-    if method == "monte_carlo":
-        times = run_trials("batch", dist, n, trials, seed, threads=threads).times
-        return EnsembleEstimate(n, method, float(np.median(times)),
-                                _median_ci_halfwidth(times))
-    raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
+    times = run_trials("batch", dist, n, DEFAULT_TRIALS if trials is None else trials,
+                       seed, threads=threads).times
+    return EnsembleEstimate(n, method, float(np.median(times)),
+                            _median_ci_halfwidth(times))

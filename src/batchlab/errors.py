@@ -19,4 +19,4 @@ class CensoringError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration (bad flag value, missing field, bad file)."""
+    """Any input outside its documented limits, from the library or the CLI alike."""

@@ -26,17 +26,17 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import OverlapDistribution, parse_dist
-from .ensemble import METHODS, expected_time_moment_series
+from .distributions import parse_dist
+from .ensemble import DEFAULT_EPS, expected_time_moment_series
 from .errors import ConfigError
 from .rng import STREAM_SCALING, derive_rng
-from .simulators import (ALGORITHMS, DEFAULT_HORIZON, _median_ci_halfwidth,
-                         empirical_n_delta, run_trials)
+from .simulators import (ALGORITHMS, DEFAULT_HORIZON, DEFAULT_TRIALS,
+                         _median_ci_halfwidth, empirical_n_delta, run_trials)
 
 _BOOTSTRAP_RESAMPLES = 200
 
@@ -56,24 +56,27 @@ _PARSERS = {"n": int, "trials": int, "seed": int, "threads": int,
             "n_sweep": _list(int), "p": _list(float),
             "dump": lambda text: text.lower() in ("1", "true", "yes")}
 
+# what a route that reads trials or eps takes where neither is set
+_DEFAULTS = {"trials": DEFAULT_TRIALS, "eps": DEFAULT_EPS}
+
 
 @dataclass
 class RunConfig:
-    """One experiment configuration; validates before execution.
+    """One experiment configuration.
 
-    Field coverage varies by command; ``validate`` checks the limits of the
-    chosen command's values (the CLI's command table names the flag each
-    command cannot run without).  :meth:`from_text` reads the flat
-    key=value file format.
+    Field coverage varies by command (the CLI's command table names the
+    flag each command cannot run without).  ``trials`` and ``eps`` stay
+    None unless set, so that a route that ignores them can refuse them.
+    :meth:`from_text` reads the flat key=value file format.
     """
 
     command: str = ""
     dist: str = "uniform"
     n: Optional[int] = None
     n_sweep: tuple = ()
-    trials: int = 1000
+    trials: Optional[int] = None
     delta: float = 0.1
-    eps: float = 1e-6
+    eps: Optional[float] = None
     s: Optional[float] = None
     p: tuple = ()
     seed: int = 0
@@ -85,81 +88,26 @@ class RunConfig:
     format: Optional[str] = None
     dump: bool = False
 
-    def distribution(self) -> OverlapDistribution:
-        try:
-            return parse_dist(self.dist)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    def read(self, name: str):
+        """``trials`` or ``eps`` for a route that reads it: as set, or its default."""
+        value = getattr(self, name)
+        return _DEFAULTS[name] if value is None else value
 
     def validate(self) -> "RunConfig":
-        if self.format not in (None, "csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError("delta must lie in (0, 1)")
-        if not 0.0 < self.eps < math.inf:
-            raise ConfigError("eps must be positive and finite")
-        if self.s is not None and not math.isfinite(self.s):
-            raise ConfigError("s must be finite")
+        """``self`` if ``threads`` and ``seed``, read by some commands only, are valid."""
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a nonnegative 64-bit integer")
-        dist = self.distribution()
-        if any(not 0.0 <= x <= 1.0 for x in self.p):
-            raise ConfigError("p entries must lie in [0, 1]")
-        if self.command == "simulate" and self.n is None and not self.p:
-            raise ConfigError("simulate requires --n (or --fixed-p)")
-        if self.command == "simulate" and self.p and self.n not in (None, len(self.p)):
-            raise ConfigError(f"n = {self.n} disagrees with the {len(self.p)} "
-                              f"entries of --fixed-p")
-        if self.command == "simulate" and self.p and self.dist != RunConfig.dist:
-            raise ConfigError(f"dist {self.dist} cannot be used with --fixed-p, "
-                              f"which fixes the overlaps instead of a law")
-        if self.command == "simulate" and self.algorithm not in (None, *ALGORITHMS):
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}, "
-                              f"got {self.algorithm!r}")
-        if self.command in ("simulate", "ensemble", "extremes", "scaling", "compare"):
-            least = 0 if self.command == "simulate" else 1
-            if self.n is not None and self.n < least:
-                raise ConfigError(f"n must be >= {least}")
-            if any(v < least for v in self.n_sweep):
-                raise ConfigError(f"n-sweep entries must be >= {least}")
-        if self.command == "ensemble" and self.method not in (None, *METHODS):
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.command == "ensemble" and self.method == "zeta_sum" and (self.n or 0) > 30:
-            raise ConfigError("n must be <= 30 for method zeta_sum; use moment_series")
-        if self.command == "extremes" and self.trials < 2:
-            raise ConfigError("trials must be >= 2 for extremes")
-        if self.command == "extremes" and not dist.has_power_tail:
-            raise ConfigError(f"dist must have a power tail for extremes, got {self.dist}")
-        if (self.command == "ensemble" and self.method == "integral_asymptotic"
-                and not dist.has_power_tail):
-            raise ConfigError("dist must have a power tail for method "
-                              f"integral_asymptotic, got {self.dist}")
-        if self.command == "scaling":
-            ns = tuple(self.n_sweep)
-            if len(ns) < 4:
-                raise ConfigError("scaling needs an n-sweep of >= 4 values")
-            if any(b <= a for a, b in zip(ns, ns[1:])):
-                raise ConfigError("n-sweep must be strictly increasing")
-            if ns[-1] < 100 * ns[0]:
-                raise ConfigError("n-sweep must span at least two decades")
-        if self.command == "compare" and not self.n_sweep and self.n is None:
-            raise ConfigError("compare needs --n or --n-sweep")
-        if self.command == "compare" and self.n_sweep and self.n is not None:
-            raise ConfigError("n and n-sweep cannot both be set for compare")
         return self
 
     # -- flat key=value file format ---------------------------------
 
     @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
+    def from_text(cls, text: str, keys: Optional[set] = None) -> "RunConfig":
+        """The config of a flat key=value file with ``keys`` (default: all)."""
         pairs = {}
-        names = {f.name for f in dataclasses.fields(cls)}
+        names = keys if keys is not None else {f.name for f in dataclasses.fields(cls)}
         for ln, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -169,7 +117,7 @@ class RunConfig:
             key, value = line.split("=", 1)
             key = key.strip()
             if key not in names:
-                raise ConfigError(f"config line {ln}: unknown key {key!r}")
+                raise ConfigError(f"config line {ln}: unexpected key {key!r}")
             pairs[key] = value.strip()
         return cls().merged(pairs)
 
@@ -216,9 +164,9 @@ def fit_loglog(n_values: Sequence[float], values: Sequence[float]) -> LogLogFit:
     n_values = np.asarray(n_values, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if n_values.size != values.size or n_values.size < 3:
-        raise ValueError("need >= 3 matched (n, value) points")
+        raise ConfigError("need >= 3 matched (n, value) points")
     if np.any(values <= 0.0) or np.any(n_values <= 0.0):
-        raise ValueError("log-log fit needs positive data")
+        raise ConfigError("log-log fit needs positive data")
     x, y = np.log(n_values), np.log(values)
 
     def ols(xi, yi):
@@ -303,27 +251,40 @@ def run_scaling(config: RunConfig) -> ScalingReport:
     method = ``moment_series`` (alpha > 1 expectation) or ``mc_median``
     (median of simulated per-trial learning times; the statistic of choice
     when E[T] does not exist).  Default: moment_series when defined.
+    ``trials`` set for moment_series or ``eps`` for mc_median is refused.
     """
-    config = dataclasses.replace(config, command="scaling").validate()
-    dist = config.distribution()
+    ns = tuple(config.n_sweep)
+    if len(ns) < 4:
+        raise ConfigError("n-sweep needs >= 4 values for scaling")
+    if min(ns) < 1:
+        raise ConfigError("n-sweep entries must be >= 1")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError("n-sweep must be strictly increasing")
+    if ns[-1] < 100 * ns[0]:
+        raise ConfigError("n-sweep must span at least two decades")
+    dist = parse_dist(config.dist)
     alpha = dist.tail_parameters()[0] if dist.has_power_tail else None
     method = config.method
     if method in (None, "auto"):
         method = "moment_series" if (alpha is not None and alpha > 1.0) else "mc_median"
     if method not in ("moment_series", "mc_median"):
-        raise ConfigError(f"scaling method must be moment_series or mc_median, "
-                          f"got {method!r}")
+        raise ConfigError(f"method must be moment_series, mc_median or auto "
+                          f"for scaling, got {method!r}")
+    if config.trials is not None and method != "mc_median":
+        raise ConfigError(f"trials is read by method mc_median only, not {method}")
+    if config.eps is not None and method != "moment_series":
+        raise ConfigError(f"eps is read by method moment_series only, not {method}")
 
     values, errors, runtimes, samples = [], [], [], []
     for idx, n in enumerate(config.n_sweep):
         t0 = time.perf_counter()
         if method == "moment_series":
-            r = expected_time_moment_series(dist, int(n), eps=config.eps)
+            r = expected_time_moment_series(dist, int(n), eps=config.read("eps"))
             values.append(r.value)
             errors.append(r.error_bound)
             samples.append(None)
         else:
-            batch = run_trials("batch", dist, int(n), config.trials,
+            batch = run_trials("batch", dist, int(n), config.read("trials"),
                                config.seed, threads=config.threads)
             times = batch.times
             values.append(float(np.median(times)))
@@ -342,7 +303,7 @@ def run_scaling(config: RunConfig) -> ScalingReport:
                         for v, e in zip(values, errors)),
         fitted_exponent=fit.exponent, exponent_ci=ci,
         runtime_seconds=tuple(runtimes), discarded=fit.discarded,
-        trials=config.trials if method == "mc_median" else None,
+        trials=config.read("trials") if method == "mc_median" else None,
         seed=config.seed)
 
 
@@ -433,14 +394,19 @@ class ComparisonTable:
 
 def compare_algorithms(config: RunConfig) -> ComparisonTable:
     """Empirical N_delta for batch / memoryless / full_memory at each n."""
-    config = dataclasses.replace(config, command="compare").validate()
-    dist = config.distribution()
+    if config.n_sweep and config.n is not None:
+        raise ConfigError("n and n-sweep cannot both be set for compare")
+    if not config.n_sweep and config.n is None:
+        raise ConfigError("n or n-sweep must be set for compare")
     n_values = tuple(int(v) for v in (config.n_sweep or (config.n,)))
+    if min(n_values) < 1:
+        raise ConfigError(f"n must be >= 1, got {min(n_values)}")
+    dist = parse_dist(config.dist)
     table = {alg: [] for alg in ALGORITHMS}
     for n in n_values:
         for alg in ALGORITHMS:
             table[alg].append(empirical_n_delta(
-                alg, dist, n, config.delta, config.trials, config.seed,
+                alg, dist, n, config.delta, config.read("trials"), config.seed,
                 horizon=config.horizon, threads=config.threads))
     violations = []
     beta = (dist.tail_parameters()[0] - 1.0) if dist.has_power_tail else None
@@ -451,7 +417,7 @@ def compare_algorithms(config: RunConfig) -> ComparisonTable:
                     f"n={n}: batch N_delta {table['batch'][i]} > "
                     f"memoryless {table['memoryless'][i]}")
     return ComparisonTable(dist=config.dist, delta=config.delta,
-                           trials=config.trials, seed=config.seed,
+                           trials=config.read("trials"), seed=config.seed,
                            n_values=n_values, algorithms=ALGORITHMS,
                            n_delta={a: tuple(v) for a, v in table.items()},
                            violations=tuple(violations))
@@ -463,9 +429,7 @@ def compare_algorithms(config: RunConfig) -> ComparisonTable:
 
 
 def _plain_dict(obj) -> dict:
-    if dataclasses.is_dataclass(obj):
-        return {k: _plain(v) for k, v in dataclasses.asdict(obj).items()}
-    raise TypeError(f"cannot serialize {type(obj)}")
+    return {k: _plain(v) for k, v in dataclasses.asdict(obj).items()}
 
 
 def _plain(v):
@@ -501,17 +465,15 @@ def emit(report, fmt: str) -> str:
     """A report serialized as csv or json text.
 
     JSON carries the schema tag, config fields, and seed so a run can be
-    reproduced from its own output.  Any other ``fmt`` raises ValueError.
+    reproduced from its own output.  Any other ``fmt`` raises ConfigError.
     """
     if not isinstance(report, (ScalingReport, ComparisonTable)):
         raise TypeError(f"emit does not know how to serialize {type(report)}")
     if fmt == "csv":
-        text = rows_csv(report.csv_rows(), report.CSV_COLUMNS)
-    elif fmt == "json":
-        text = json_text({"schema": report.SCHEMA, **_plain_dict(report)})
-    else:
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-    return text
+        return rows_csv(report.csv_rows(), report.CSV_COLUMNS)
+    if fmt == "json":
+        return json_text({"schema": report.SCHEMA, **_plain_dict(report)})
+    raise ConfigError(f"format must be csv or json, got {fmt!r}")
 
 
 def _tuples(v):
@@ -541,14 +503,14 @@ def parse_report(text: str):
         payload = json.loads(text)
         schema = payload.pop("schema", None)
         if schema not in _REPORTS:
-            raise ValueError(f"unknown schema {schema!r}")
+            raise ConfigError(f"unknown schema {schema!r}")
         cls = _REPORTS[schema]
         return cls(**{f.name: _tuples(payload[f.name])
                       for f in dataclasses.fields(cls)})
     rows = list(csv.DictReader(io.StringIO(text)))
     if not rows:
-        raise ValueError("empty csv report")
+        raise ConfigError("empty csv report")
     schema = rows[0]["schema"]
     if schema not in _REPORTS:
-        raise ValueError(f"unknown csv schema {schema!r}")
+        raise ConfigError(f"unknown csv schema {schema!r}")
     return _REPORTS[schema].from_csv_rows(rows)

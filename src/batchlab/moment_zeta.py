@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _ULP, OverlapDistribution
-from .errors import DivergenceError, PrecisionLossError
+from .errors import ConfigError, DivergenceError, PrecisionLossError
 # map_chunks is unused here; bench/layertrace.py patches it in this module
 from .rng import STREAM_ZETA_CHECK, map_chunks  # noqa: F401
 from .simulators import _map_overlap_rows
@@ -99,10 +99,13 @@ def zeta(dist: OverlapDistribution, s: float, eps: float = 1e-9) -> ZetaValue:
     error is scaled by s in m**s), summation rounding, and 2**-52 * p/(p-1)
     of the tail for the rounding of p = s*alpha.  It is never 0 and may
     exceed eps when the value is large or p is near 1.  Raises
-    PrecisionLossError when K = 2**26 does not meet eps.
+    PrecisionLossError when K = 2**26 does not meet eps, and ConfigError
+    before summing for an s that is not finite or an eps that is not.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if not math.isfinite(s):
+        raise ConfigError("s must be finite")
+    if not 0.0 < eps < math.inf:
+        raise ConfigError("eps must be positive and finite")
     if dist.has_power_tail:
         alpha, _ = dist.tail_parameters()
         if s * alpha <= 1.0:
@@ -225,9 +228,9 @@ def verify_zeta_expectation(
     exactly when the zeta function is.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError("trials must be >= 1")
     if dist.has_power_tail:
         alpha, _ = dist.tail_parameters()
         if n * alpha <= 1.0:

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
+
 #: Trials per deterministic chunk.  Fixed: changing it changes the streams.
 CHUNK_SIZE = 65536
 
@@ -40,7 +42,7 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
 
     The same (seed, path) always yields the same stream; distinct paths give
     statistically independent streams via SeedSequence spawn keys.  Seeds
-    outside [0, 2**64) raise ValueError rather than alias a smaller seed.
+    outside [0, 2**64) raise ConfigError rather than alias a smaller seed.
 
     The bit generator is ``PCG64DXSM`` (O'Neill, "PCG: a family of simple
     fast space-efficient statistically good algorithms", 2014), about twice
@@ -49,7 +51,7 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     its own independently seeded stream.
     """
     if not 0 <= int(master_seed) < 2**64:
-        raise ValueError(f"master seed {master_seed} is outside [0, 2**64)")
+        raise ConfigError(f"master seed {master_seed} is outside [0, 2**64)")
     ss = np.random.SeedSequence(entropy=int(master_seed),
                                 spawn_key=tuple(int(x) for x in path))
     return np.random.Generator(np.random.PCG64DXSM(ss))

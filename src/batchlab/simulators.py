@@ -63,12 +63,13 @@ import numpy as np
 
 from .batch_exact import _as_p, _first_step
 from .distributions import OverlapDistribution
-from .errors import CensoringError
+from .errors import CensoringError, ConfigError
 # map_chunks is called as a module global so bench/layertrace.py can wrap it
 from .rng import (CHUNK_SIZE, STREAM_BATCH, STREAM_FULL_MEMORY,
                   STREAM_MEMORYLESS, derive_rng, map_chunks, rows_chunk)
 
 DEFAULT_HORIZON = 1_000_000
+DEFAULT_TRIALS = 1000
 #: Floats per chunk of the learners' samplers (see the module docstring).
 #: Fixed: changing it changes their streams.
 _LEARNER_BUDGET = 1 << 14
@@ -168,6 +169,10 @@ def batch_time_quantile(dist: OverlapDistribution, n: int, u) -> np.ndarray:
     the float64 range comes back as inf.
     """
     u = np.asarray(u, dtype=np.float64)
+    if n < 0:
+        raise ConfigError("n must be >= 0")
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
+        raise ConfigError("u must lie in [0, 1]")
     if n == 0:
         return np.zeros(u.shape)
     with np.errstate(divide="ignore"):
@@ -315,14 +320,16 @@ def run_trials(
     Chunk i of a learner draws from ``derive_rng(seed, <learner stream>, i)``.
     """
     if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; pick one of {ALGORITHMS}")
+        raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError("trials must be >= 1")
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise ConfigError("horizon must be >= 1")
     if fixed_p is not None:
         fixed_p = _as_p(fixed_p, forbid_one=(algorithm != "memoryless"))
         n = fixed_p.size
+    elif n < 0:
+        raise ConfigError("n must be >= 0")
     path = (_ALG_STREAM[algorithm],)
     chunk_rows = rows_chunk(n, _LEARNER_BUDGET)
     if fixed_p is None and algorithm == "batch":
@@ -364,7 +371,7 @@ def empirical_n_delta(
     raised.
     """
     if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+        raise ConfigError("delta must lie in (0, 1)")
     batch = run_trials(algorithm, dist, n, trials, seed,
                        horizon=horizon, threads=threads)
     times = np.sort(batch.times)

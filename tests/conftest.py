@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,3 +14,24 @@ def rng():
 @pytest.fixture
 def master_seed():
     return MASTER_SEED
+
+
+def outcome_within(seconds, fn, *args, **kwargs):
+    """What ``fn(*args, **kwargs)`` returned or raised, or None if it was still
+    running after ``seconds``.
+
+    The call runs on a daemon thread, so a call that never ends fails its test
+    instead of hanging the suite.
+    """
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn(*args, **kwargs)
+        except Exception as exc:   # handed to the caller, who checks its type
+            out["value"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    return out.get("value")

@@ -21,6 +21,7 @@ from batchlab.distributions import power_tail
 from batchlab.errors import DivergenceError, PrecisionLossError
 from batchlab.rng import STREAM_ENSEMBLE, derive_rng, rows_chunk
 from batchlab.simulators import run_trials
+from tests.conftest import outcome_within
 from tests.oracles import (expected_time_subsets, simulate_batch,
                            simulate_batch_wordlevel, simulate_full_memory,
                            simulate_memoryless)
@@ -211,6 +212,15 @@ class TestFirstStep:
 
         assert np.array_equal(_first_step(done, target.size), target)
         assert _first_step(done, 0).size == 0
+
+    def test_never_done_comes_back_as_inf(self):
+        # doubling passes the float64 range after 1024 steps; an entry whose
+        # done never holds must stop there, next to one that is done
+        target = np.array([5.0, np.nan])
+        k = outcome_within(10.0, _first_step,
+                           lambda idx, k: k >= target[idx], target.size)
+        assert isinstance(k, np.ndarray), "_first_step did not return"
+        assert k.tolist() == [5.0, math.inf]
 
 
 class TestCoarseBounds:

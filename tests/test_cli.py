@@ -438,6 +438,47 @@ class TestConfigFileAndOutput:
                    - (1.2020569031595943 - 1.0)) < 1e-6
 
 
+class TestUnreadInputs:
+    """A value that the command or its chosen route would ignore is refused."""
+
+    @pytest.mark.parametrize("args, text", [
+        (["zeta", "--s", "2"], "trials=7\nn_sweep=10,20\n"),
+        (["simulate", "--alg", "batch", "--n", "3"], "s=2\nmethod=zeta_sum\n"),
+        (["exact-time", "--p", "0.5"], "eps=1e-9\ndelta=0.2\n"),
+    ], ids=["zeta", "simulate", "exact-time"])
+    def test_config_key_the_command_does_not_take(self, capsys, tmp_path, args, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        code, out, err = run_cli(args + ["--config", str(path)], capsys)
+        line = 1 if args[0] != "exact-time" else 2
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: config line {line}: unexpected key ")
+
+    @pytest.mark.parametrize("args, field", [
+        (["ensemble", "--dist", "powertail:beta=1", "--n", "10", "--method",
+          "moment_series", "--trials", "5"], "trials"),
+        (["ensemble", "--n", "10", "--method", "monte_carlo", "--eps", "1e-9"], "eps"),
+        (["scaling", "--method", "mc_median", "--eps", "1e-9", "--n-sweep",
+          "10,100,1000,10000"], "eps"),
+        (["scaling", "--dist", "powertail:beta=1", "--trials", "100", "--n-sweep",
+          "10,100,1000,10000"], "trials"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_value_the_route_does_not_read(self, capsys, args, field):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {field} is read by method ")
+
+    def test_defaults_where_read(self, capsys):
+        code, out, _ = run_cli(["zeta", "--s", "2"], capsys)
+        assert code == 0 and json.loads(out)["eps"] == 1e-6
+        code, out, _ = run_cli(["simulate", "--alg", "batch", "--n", "3"], capsys)
+        assert code == 0 and json.loads(out)["trials"] == 1000
+        # horizon stays accepted on batch, which reports none
+        code, out, _ = run_cli(["simulate", "--alg", "batch", "--n", "3",
+                                "--horizon", "9", "--trials", "5"], capsys)
+        assert code == 0 and json.loads(out)["horizon"] is None
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -294,9 +294,9 @@ class TestIntegralRoute:
     def test_no_power_tail_is_a_value_error(self):
         # a < 1 has no tail constant to integrate; nothing diverges
         d = scaled(0.5, uniform())
-        with pytest.raises(ValueError, match="power-tail") as direct:
+        with pytest.raises(ValueError, match="power tail") as direct:
             en.expected_time_integral(d, 100)
-        with pytest.raises(ValueError, match="power-tail") as routed:
+        with pytest.raises(ValueError, match="power tail") as routed:
             en.ensemble_estimate(d, 100, "integral_asymptotic")
         for exc in (direct, routed):
             assert not isinstance(exc.value, DivergenceError)
@@ -446,7 +446,8 @@ class TestDispatcher:
     def test_each_method_runs(self):
         pt = power_tail(1.0)
         for method in en.METHODS:
-            est = en.ensemble_estimate(pt, 20, method, trials=500,
+            trials = 500 if method == "monte_carlo" else None
+            est = en.ensemble_estimate(pt, 20, method, trials=trials,
                                        seed=MASTER_SEED)
             assert est.method == method
             assert est.value > 0.0

@@ -51,26 +51,28 @@ class TestRunConfig:
             RunConfig.from_text(text)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(trials=0),
-        dict(delta=0.0),
-        dict(delta=1.0),
-        dict(eps=-1.0),
         dict(threads=0),
-        dict(dist="powertail:beta=-2"),
-        dict(format="xml"),
+        dict(seed=-1),
+        dict(seed=2**64),
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(command="simulate", **kwargs).validate()
 
+    def test_validation_leaves_other_fields_to_their_readers(self):
+        # each of these is refused by the library function that reads it
+        cfg = RunConfig(command="simulate", trials=0, delta=1.0, eps=-1.0,
+                        dist="powertail:beta=-2", format="xml")
+        assert cfg.validate() is cfg
+
     def test_scaling_sweep_requirements(self):
-        with pytest.raises(ConfigError):
-            RunConfig(command="scaling", n_sweep=(10, 100, 1000)).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(command="scaling", n_sweep=(10, 20, 40, 80)).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(command="scaling", n_sweep=(10, 10, 100, 1000)).validate()
-        RunConfig(command="scaling", n_sweep=(10, 100, 500, 1000)).validate()
+        for sweep in [(10, 100, 1000), (10, 20, 40, 80), (10, 10, 100, 1000),
+                      (0, 10, 100, 1000)]:
+            with pytest.raises(ConfigError, match="^n-sweep "):
+                run_scaling(RunConfig(command="scaling", n_sweep=sweep))
+        rep = run_scaling(RunConfig(command="scaling", n_sweep=(10, 100, 500, 1000),
+                                    trials=50))
+        assert rep.n_values == (10, 100, 500, 1000)
 
 
 class TestFitLogLog:
@@ -181,7 +183,7 @@ class TestSerialization:
     def test_scaling_without_trials_round_trip(self, fmt):
         # moment_series draws nothing, so its report carries no trial count
         rep = run_scaling(RunConfig(command="scaling", dist="powertail:beta=1",
-                                    n_sweep=(10, 30, 100, 1000), trials=5000,
+                                    n_sweep=(10, 30, 100, 1000),
                                     method="moment_series"))
         assert rep.trials is None
         text = emit(rep, fmt)

@@ -14,13 +14,13 @@ from scipy import stats
 
 from batchlab.batch_exact import expected_time_series, survival
 from batchlab.distributions import power_tail, uniform
-from batchlab.errors import CensoringError, DivergenceError
+from batchlab.errors import CensoringError, ConfigError, DivergenceError
 from batchlab.rng import CHUNK_SIZE, rows_chunk
 from batchlab.simulators import (_LEARNER_BUDGET, _segment_sums,
                                  batch_time_quantile, batch_times,
                                  empirical_n_delta, full_memory_ensemble_times,
                                  full_memory_times, memoryless_times, run_trials)
-from tests.conftest import MASTER_SEED
+from tests.conftest import MASTER_SEED, outcome_within
 from tests.oracles import (simulate_batch, simulate_batch_wordlevel,
                            simulate_full_memory, simulate_memoryless)
 
@@ -167,6 +167,21 @@ class TestBatchTimeQuantile:
         k = out["k"]
         assert np.all(np.isfinite(k)) and np.all(np.diff(k) >= 0.0)
         assert k[-1] > 2.0**53
+
+    @pytest.mark.parametrize("n, u, field", [
+        (-2, 0.5, "n"), (-1, [0.2, 0.7], "n"), (3, 1.5, "u"), (3, -0.25, "u"),
+        (3, [0.5, math.nan], "u"), (0, math.nan, "u"),
+    ], ids=["n=-2", "n=-1", "u=1.5", "u=-0.25", "u=nan", "n=0,u=nan"])
+    def test_refuses_bad_n_and_u(self, n, u, field):
+        # n < 0 and a NaN u never met the stop rule of the search, so the
+        # call looped for ever
+        exc = outcome_within(10.0, batch_time_quantile, uniform(), n, u)
+        assert isinstance(exc, ConfigError), f"returned {exc!r}"
+        assert str(exc).startswith(f"{field} ")
+
+    def test_u_of_one_is_past_the_float64_range(self):
+        k = outcome_within(10.0, batch_time_quantile, uniform(), 10, [1.0, 0.0])
+        assert isinstance(k, np.ndarray) and k.tolist() == [math.inf, 1.0]
 
     def test_edge_cases(self):
         u = np.asarray([0.0, 0.3, 0.85])
@@ -438,6 +453,12 @@ class TestRunTrials:
     def test_horizon_below_one_rejected(self):
         with pytest.raises(ValueError):
             run_trials("memoryless", uniform(), 5, 5, 0, horizon=0)
+
+    @pytest.mark.parametrize("alg", ["batch", "memoryless", "full_memory"])
+    def test_negative_n_rejected(self, alg):
+        exc = outcome_within(10.0, run_trials, alg, uniform(), -1, 3, 1)
+        assert isinstance(exc, ConfigError), f"returned {exc!r}"
+        assert str(exc).startswith("n ")
 
 
 @st.composite
