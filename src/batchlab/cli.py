@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 any other error (with a traceback),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -57,7 +58,14 @@ class _Command(NamedTuple):
     handler: Callable[[RunConfig], str]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process on first use.
+
+    Never built at import, so ``import batchlab.cli`` costs no more than its
+    imports.  ``parse_args`` keeps no state between calls, so the one parser
+    serves every ``main`` call; callers must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="batchlab",
         description="Batch-learning convergence laboratory")
@@ -227,8 +235,7 @@ def _checked(name: str, cfg: RunConfig) -> RunConfig:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _checked(args.command, _config_from_args(args))
         text = _COMMANDS[args.command].handler(cfg)

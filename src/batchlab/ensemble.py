@@ -383,10 +383,13 @@ def extreme_value(dist: OverlapDistribution, n_values: Sequence[int],
     Every law with a power tail has P(1 - p <= x) = x**alpha exactly, so each
     trial's minimum gap is drawn by inversion of its law from one uniform of
     the chunk streams ``(seed, STREAM_EXTREMES, j, i)`` for the j-th n; no
-    overlap vector is drawn.  Needs n-sweep entries >= 1 and trials >= 2.
+    overlap vector is drawn.  Needs integral n-sweep entries >= 1 (``10.0``
+    passes, ``10.7`` is refused) and trials >= 2.
     """
     if not n_values:
         raise ConfigError("n-sweep must hold at least one n value")
+    if not all(float(v).is_integer() for v in n_values):
+        raise ConfigError(f"n-sweep entries must be integers, got {list(n_values)}")
     if min(n_values) < 1:
         raise ConfigError("n-sweep entries must be >= 1")
     if trials < 2:

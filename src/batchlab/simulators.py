@@ -42,9 +42,9 @@ one cache-sized block from chunk to chunk instead of mapping and unmapping
 tens of MB: a memoryless run of 2000 trials at n = 1000 peaks near 1 MiB,
 not 76 MiB.  A larger budget crosses the threshold and pays a page fault
 per page of every chunk; a smaller one pays numpy's per-call overhead more
-often than it saves.  The ensemble and zeta checks that share
-:func:`_map_overlap_rows` keep ``rows_chunk(n)`` rows (about 2**22 floats),
-so their streams and reports stay as they were.
+often than it saves.  The ensemble checks that share
+:func:`_map_overlap_rows` and the zeta check keep ``rows_chunk(n)`` rows
+(about 2**22 floats), so their streams and reports stay as they were.
 
 The memoryless and fresh-p full-memory samplers lay the holds of all
 trials out in one flat array, trial after trial.  Memoryless reads the held

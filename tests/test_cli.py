@@ -410,6 +410,36 @@ class TestSingleParser:
             assert command.formats and set(command.formats) <= {"csv", "json"}
 
 
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        code = ("import batchlab.cli as c; "
+                "print(c.build_parser.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": "src"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, cwd=ROOT, check=True)
+        assert proc.stdout.strip() == "0"
+
+    def test_errors_leave_no_state_behind(self, capsys):
+        zeta = ["zeta", "--dist", "uniform", "--s", "2", "--eps", "1e-9"]
+        exact = ["exact-time", "--p", "0.5,0.25"]
+        alone = {}
+        for args in (zeta, exact):
+            cli.build_parser.cache_clear()
+            alone[args[0]] = run_cli(args, capsys)
+        assert all(code == 0 and out for code, out, _ in alone.values())
+        assert run_cli(zeta, capsys) == alone["zeta"]
+        assert run_cli(["zeta", "--dist", "uniform"], capsys)[0] == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["zeta", "--nonsense"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(exact, capsys) == alone["exact-time"]
+        assert run_cli(zeta, capsys) == alone["zeta"]
+
+
 class TestConfigFileAndOutput:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from batchlab.distributions import power_tail, scaled, uniform
 from batchlab.errors import DivergenceError
 from batchlab.moment_zeta import mellin, verify_zeta_expectation, zeta
+from batchlab.rng import STREAM_ZETA_CHECK, derive_rng, rows_chunk
 from tests.conftest import MASTER_SEED
 from tests.test_distributions import quad_moment
 
@@ -255,3 +256,32 @@ class TestZetaExpectation:
         a = verify_zeta_expectation(uniform(), 3, 200000, MASTER_SEED, threads=1)
         b = verify_zeta_expectation(uniform(), 3, 200000, MASTER_SEED, threads=4)
         assert a == b
+
+
+def concept_major_oracle(dist, n, trials, seed):
+    """Mean of y/(1-y) with every chunk's draws dealt out by hand.
+
+    Chunk i of ``rows_chunk(n)`` trials re-derives its stream, draws
+    ``count * n`` overlaps and gives draw ``j * count + r`` to trial r as
+    factor j; each y multiplies its factors in the order j = 0, 1, ....
+    """
+    size, odds = rows_chunk(n), []
+    for i, lo in enumerate(range(0, trials, size)):
+        count = min(size, trials - lo)
+        x = dist.sample(count * n, derive_rng(seed, STREAM_ZETA_CHECK, i))
+        factors = x[np.arange(n)[None, :] * count + np.arange(count)[:, None]]
+        y = factors[:, 0].copy()
+        for j in range(1, n):
+            y *= factors[:, j]
+        odds.append(y / (1.0 - y))
+    return float(np.concatenate(odds).mean())
+
+
+class TestConceptMajorProducts:
+    # n = 50 spans three chunks of rows_chunk(50) = 65536 trials
+    @pytest.mark.parametrize("n, trials", [(1, 1000), (3, 70000), (50, 140000)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mean_equals_the_oracle(self, n, trials, threads):
+        dist = power_tail(1.0)
+        chk = verify_zeta_expectation(dist, n, trials, MASTER_SEED, threads=threads)
+        assert chk.mc_estimate == concept_major_oracle(dist, n, trials, MASTER_SEED)

@@ -20,7 +20,7 @@ from batchlab.ensemble import (alpha1_decomposition, ensemble_estimate,
                                expected_time_zeta_sum, extreme_value)
 from batchlab.errors import ConfigError
 from batchlab.harness import RunConfig, compare_algorithms, run_scaling
-from batchlab.moment_zeta import zeta
+from batchlab.moment_zeta import mellin, zeta
 from batchlab.simulators import (batch_time_quantile, empirical_n_delta,
                                  run_trials)
 from tests.conftest import outcome_within
@@ -34,12 +34,16 @@ REFUSALS = [
     # inputs the CLI once checked again, or alone, before the call
     ("zeta s=nan", lambda: zeta(uniform(), math.nan), "s"),
     ("zeta eps=nan", lambda: zeta(uniform(), 2.0, eps=math.nan), "eps"),
+    ("mellin s=nan", lambda: mellin(uniform(), math.nan), "s"),
+    ("mellin s=inf", lambda: mellin(uniform(), math.inf), "s"),
     ("alpha1 eps=-1", lambda: alpha1_decomposition(uniform(), 10, eps=-1.0), "eps"),
     ("moment_series eps=inf",
      lambda: expected_time_moment_series(power_tail(1.0), 10, eps=math.inf), "eps"),
     ("series eps=nan", lambda: expected_time_series([0.5], eps=math.nan), "eps"),
     ("extreme_value n-sweep 0,10",
      lambda: extreme_value(uniform(), [0, 10], 10, 1), "n-sweep"),
+    ("extreme_value n-sweep 10.7",
+     lambda: extreme_value(uniform(), [10.7], 100, 1), "n-sweep"),
     ("extreme_value trials=1", lambda: extreme_value(uniform(), [10], 1, 1), "trials"),
     ("extreme_value no power tail",
      lambda: extreme_value(NO_TAIL, [10], 100, 1), "dist"),
@@ -112,6 +116,10 @@ def test_no_plain_value_error_is_raised():
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, ("a deliberate refusal raises ConfigError or another "
                            f"class of batchlab.errors: {offenders}")
+
+
+def test_integral_float_n_is_accepted():
+    assert extreme_value(uniform(), [10.0], 100, 1).n_values == (10,)
 
 
 def test_defaults_apply_only_where_read():
