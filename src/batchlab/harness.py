@@ -308,23 +308,30 @@ def run_scaling(config: RunConfig) -> ScalingReport:
 
 
 def _bootstrap_exponent_ci(config, samples, fit) -> tuple:
-    """Percentile CI over per-point trial resamples (200 bootstrap fits)."""
+    """Percentile CI over per-point trial resamples (200 bootstrap fits).
+
+    Each block of fits (one block unless its resamples pass 2**22 values)
+    draws all its index vectors with one ``rng.integers`` call of shape
+    (fits, points, trials) and gathers them from the stacked samples.  The
+    draws are those of one call per resample in fit-major order: the
+    generator hands out 32-bit draws from a buffer it keeps in its own
+    state, so splitting a call changes no value and leaves the stream where
+    it was.
+    """
     rng = derive_rng(config.seed, STREAM_SCALING, 0)
     keep = [i for i, n in enumerate(config.n_sweep)
             if float(n) not in fit.discarded]
     ns = [config.n_sweep[i] for i in keep]
-    # index vectors in fit-major order, one median call per block of fits
-    # (one block unless the resamples pass 2**22 floats), one 2-D fit
-    size = samples[keep[0]].size
+    stacked = np.stack([samples[i] for i in keep])
+    size = stacked.shape[1]
     block = max(1, (1 << 22) // (len(keep) * size))
     vals = []
     for start in range(0, _BOOTSTRAP_RESAMPLES, block):
         fits = min(block, _BOOTSTRAP_RESAMPLES - start)
-        vals.append(np.median(np.stack(
-            [samples[i][rng.integers(0, size, size)]
-             for _ in range(fits) for i in keep]), axis=-1))
-    vals = np.concatenate(vals).reshape(_BOOTSTRAP_RESAMPLES, len(keep))
-    exps = np.polyfit(np.log(ns), np.log(vals.T), 1)[0]
+        idx = rng.integers(0, size, (fits, len(keep), size))
+        vals.append(np.median(np.take_along_axis(stacked[None], idx, axis=-1),
+                              axis=-1))
+    exps = np.polyfit(np.log(ns), np.log(np.concatenate(vals).T), 1)[0]
     lo, hi = np.quantile(exps, [0.025, 0.975])
     return (float(min(lo, fit.exponent)), float(max(hi, fit.exponent)))
 

@@ -32,9 +32,9 @@ import numpy as np
 
 from .distributions import _ULP, OverlapDistribution
 from .errors import ConfigError, DivergenceError, PrecisionLossError
-# map_chunks is unused here; bench/layertrace.py patches it in this module
-from .rng import STREAM_ZETA_CHECK, map_chunks, rows_chunk  # noqa: F401
-from .simulators import _map_rows
+# map_chunks is looked up in this module at call time, so that
+# bench/layertrace.py can patch it here
+from .rng import STREAM_ZETA_CHECK, derive_rng, map_chunks, rows_chunk
 
 _K_START = 1_000
 _K_CAP = 1 << 26
@@ -43,6 +43,8 @@ _SUM_CHUNK = 1 << 20
 # arithmetic and the n*m cancellation of the alpha = 1 term (< 2e-14 of |T2|)
 _ROUNDING_RTOL = 1e-13
 _VERIFY_EPS = 1e-9          # truncation of the zeta value a Monte Carlo check quotes
+_VERIFY_QUANTILE = 0.9999   # the cut above which a Monte Carlo check winsorizes
+_QUANTILE_BLOCK = 256       # values per block maximum in _upper_quantile
 
 
 @dataclass(frozen=True)
@@ -233,13 +235,22 @@ def verify_zeta_expectation(
     ``(n, count)`` block, multiplied in the order j = 0, 1, ..., n - 1,
     which costs a small fraction of a reduction over a short inner axis.
 
-    Raises DivergenceError when n * alpha <= 1: the expectation is undefined
-    exactly when the zeta function is.
+    The odds are reduced in place: each chunk writes its products into its
+    own slice of one ``trials``-long array and turns them into odds there,
+    with its first row of draws as scratch for 1 - y.  One more array of
+    that size holds the squared deviations and then the winsorized values,
+    and the 0.9999 quantile is selected by :func:`_upper_quantile` without
+    a sorted copy.  ``mc_estimate``, ``stderr`` and ``trimmed_mean`` equal
+    ``np.mean``, ``np.std(ddof=1) / sqrt(trials)`` and
+    ``np.minimum(z, np.quantile(z, 0.9999)).mean()`` over the odds z, bit
+    for bit.
+
+    Raises ConfigError for an n or trials that is not an integer >= 1
+    (integral floats pass), and DivergenceError when n * alpha <= 1: the
+    expectation is undefined exactly when the zeta function is.
     """
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    n = _count("n", n)
+    trials = _count("trials", trials)
     if dist.has_power_tail:
         alpha, _ = dist.tail_parameters()
         if n * alpha <= 1.0:
@@ -249,23 +260,24 @@ def verify_zeta_expectation(
     else:
         variance_finite = True
 
-    def odds_of_product(rng: np.random.Generator, count: int) -> np.ndarray:
-        # x stays alive until the odds are formed, so their temporaries land
-        # past it and the next chunk's draws reuse its block; freed earlier,
-        # it left holes that raised this check's peak RSS by about 1 MB
-        x = dist.sample(count * n, rng).reshape(n, count)
-        y = np.prod(x, axis=0)
-        return y / (1.0 - y)
+    z = np.empty(trials)
 
-    z = _map_rows(odds_of_product, trials, seed, (STREAM_ZETA_CHECK,), threads,
-                  chunk_size=rows_chunk(n))
+    def odds_of_product(i: int, lo: int, hi: int) -> None:
+        x = dist.sample((hi - lo) * n, derive_rng(seed, STREAM_ZETA_CHECK, i))
+        x = x.reshape(n, hi - lo)
+        y = np.prod(x, axis=0, out=z[lo:hi])
+        np.divide(y, np.subtract(1.0, y, out=x[0]), out=y)
 
-    mean = float(z.mean())
-    stderr = float(z.std(ddof=1) / np.sqrt(z.size)) if z.size > 1 else np.inf
-    cut = np.quantile(z, 0.9999)
-    trimmed = float(np.minimum(z, cut).mean())
+    map_chunks(odds_of_product, trials, threads=threads, chunk_size=rows_chunk(n))
+
+    mean = z.mean()
+    d = np.subtract(z, mean, out=np.empty_like(z))
+    variance = np.square(d, out=d).sum() / (trials - 1) if trials > 1 else np.inf
+    stderr = float(np.sqrt(variance) / np.sqrt(trials))
+    cut = _upper_quantile(z, _VERIFY_QUANTILE)
+    trimmed = float(np.minimum(z, cut, out=d).mean())
     return ZetaExpectationCheck(
-        mc_estimate=mean,
+        mc_estimate=float(mean),
         zeta_value=zeta(dist, float(n), eps=_VERIFY_EPS).value,
         stderr=stderr,
         variance_finite=variance_finite,
@@ -273,3 +285,41 @@ def verify_zeta_expectation(
         trials=trials,
         n=n,
     )
+
+
+def _count(field: str, value) -> int:
+    """``value`` as an int >= 1, or ConfigError naming ``field``."""
+    if not float(value).is_integer():
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{field} must be >= 1")
+    return int(value)
+
+
+def _upper_quantile(z: np.ndarray, q: float) -> float:
+    """``np.quantile(z, q)`` (linear rule) of finite values, cheap for q near 1.
+
+    The rule needs the order statistics at ascending ranks floor(v) and
+    floor(v) + 1, v = (N - 1) * q, so the ``need = N - floor(v)`` largest
+    values.  The maxima of blocks of _QUANTILE_BLOCK values bound them: at
+    least ``need`` values reach the need-th largest block maximum c, so
+    ``z[z >= c]`` holds every value needed and only that short array is
+    sorted (all of z when there are fewer blocks than ``need``).  The two
+    values are then combined as numpy's ``_lerp`` does, from the nearer
+    end, which the plain a + (b - a) * g misses at some N.
+    """
+    size = z.size
+    v = (size - 1) * q
+    lo = math.floor(v)
+    g = v - lo
+    need = size - lo
+    maxima = np.maximum.reduceat(z, np.arange(0, size, _QUANTILE_BLOCK))
+    if need <= maxima.size:
+        c = np.partition(maxima, maxima.size - need)[maxima.size - need]
+        top = np.sort(z[z >= c])
+    else:
+        top = np.sort(z)
+    a = top[top.size - need]
+    b = top[top.size - need + min(1, need - 1)]
+    diff = b - a
+    return b - diff * (1.0 - g) if g >= 0.5 else a + diff * g

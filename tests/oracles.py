@@ -11,7 +11,9 @@ loops that the tests compare them against:
 * the inclusion-exclusion value of T over nonempty subsets S,
   sum (-1)**(|S|-1) * p_S/(1 - p_S) with p_S the product over S, for one
   vector (Gray-code order, exact ``fsum`` rounding) and for the rows of a
-  matrix (subset products by doubling).
+  matrix (subset products by doubling);
+* the scaling sweep's bootstrap CI of the fitted exponent, one
+  ``rng.integers`` call per resampled point.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from typing import Optional
 import numpy as np
 
 from batchlab.batch_exact import _as_p, _log_desc
+from batchlab.harness import _BOOTSTRAP_RESAMPLES
+from batchlab.rng import STREAM_SCALING, derive_rng
 from batchlab.simulators import DEFAULT_HORIZON, geometric_steps
 
 SUBSET_LIMIT = 25
@@ -163,3 +167,33 @@ def expected_time_subsets_bulk(P: np.ndarray) -> np.ndarray:
     # drop the empty subset (column 0), which contributes nothing
     terms = prods[:, 1:] / (1.0 - prods[:, 1:])
     return (signs[1:] * terms).sum(axis=1)
+
+
+# ----------------------------------------------------------------------
+# bootstrap CI of a scaling exponent
+# ----------------------------------------------------------------------
+
+
+def bootstrap_exponent_ci(config, samples, fit) -> tuple:
+    """Percentile CI over per-point trial resamples, one draw call each.
+
+    Fit-major order: resample b draws ``trials`` indices for every kept
+    point in turn, before resample b + 1; the medians of a block of fits
+    (2**22 resampled values at most) are taken in one call.
+    """
+    rng = derive_rng(config.seed, STREAM_SCALING, 0)
+    keep = [i for i, n in enumerate(config.n_sweep)
+            if float(n) not in fit.discarded]
+    ns = [config.n_sweep[i] for i in keep]
+    size = samples[keep[0]].size
+    block = max(1, (1 << 22) // (len(keep) * size))
+    vals = []
+    for start in range(0, _BOOTSTRAP_RESAMPLES, block):
+        fits = min(block, _BOOTSTRAP_RESAMPLES - start)
+        vals.append(np.median(np.stack(
+            [samples[i][rng.integers(0, size, size)]
+             for _ in range(fits) for i in keep]), axis=-1))
+    vals = np.concatenate(vals).reshape(_BOOTSTRAP_RESAMPLES, len(keep))
+    exps = np.polyfit(np.log(ns), np.log(vals.T), 1)[0]
+    lo, hi = np.quantile(exps, [0.025, 0.975])
+    return (float(min(lo, fit.exponent)), float(max(hi, fit.exponent)))

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from batchlab.distributions import uniform
+from batchlab.distributions import parse_dist, uniform
 from batchlab.errors import ConfigError
-from batchlab.harness import (ComparisonTable, RunConfig, ScalingReport,
-                              compare_algorithms, emit, fit_loglog,
-                              parse_report, run_scaling)
+from batchlab.harness import (_BOOTSTRAP_RESAMPLES, ComparisonTable, RunConfig,
+                              ScalingReport, compare_algorithms, emit,
+                              fit_loglog, parse_report, run_scaling)
+from batchlab.simulators import run_trials
 from tests.conftest import MASTER_SEED
+from tests.oracles import bootstrap_exponent_ci
 
 
 class TestRunConfig:
@@ -130,6 +132,34 @@ class TestRunScaling:
                         n_sweep=(10, 100, 400, 1000))
         with pytest.raises(ConfigError):
             run_scaling(cfg)
+
+
+class TestBootstrapCi:
+    # (law, sweep, trials, points fit_loglog discards or None); at 5000
+    # trials the kept points' 200 resamples pass 2**22 values and split
+    # into two blocks
+    CASES = [("uniform", (10, 100, 1000, 10000), 1, 1),
+             ("uniform", (10, 100, 1000, 10000), 3, None),
+             ("uniform", (100, 316, 1000, 3162, 10000), 101, None),
+             ("powertail:beta=1", (1, 10, 100, 1000), 101, 1),
+             ("uniform", (10, 30, 100, 300, 1000, 3000), 5000, None)]
+
+    @pytest.mark.parametrize("spec, sweep, trials, discarded", CASES,
+                             ids=lambda v: str(v))
+    def test_equals_the_per_resample_oracle(self, spec, sweep, trials, discarded):
+        cfg = RunConfig(command="scaling", dist=spec, n_sweep=sweep, trials=trials,
+                        seed=MASTER_SEED, method="mc_median")
+        samples = [run_trials("batch", parse_dist(spec), n, trials, MASTER_SEED).times
+                   for n in sweep]
+        fit = fit_loglog(sweep, [float(np.median(t)) for t in samples])
+        if discarded is not None:
+            assert len(fit.discarded) == discarded
+        if trials == 5000:
+            kept = len(sweep) - len(fit.discarded)
+            assert (1 << 22) // (kept * trials) < _BOOTSTRAP_RESAMPLES
+        rep = run_scaling(cfg)
+        assert rep.discarded == fit.discarded
+        assert rep.exponent_ci == bootstrap_exponent_ci(cfg, samples, fit)
 
 
 class TestCompare:

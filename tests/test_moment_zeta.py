@@ -1,6 +1,7 @@
 """Moment zeta function, Mellin transform, and the expectation identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from numpy.testing import assert_allclose
 
 from batchlab.distributions import power_tail, scaled, uniform
 from batchlab.errors import DivergenceError
-from batchlab.moment_zeta import mellin, verify_zeta_expectation, zeta
+from batchlab.moment_zeta import (_QUANTILE_BLOCK, _upper_quantile, mellin,
+                                  verify_zeta_expectation, zeta)
 from batchlab.rng import STREAM_ZETA_CHECK, derive_rng, rows_chunk
 from tests.conftest import MASTER_SEED
 from tests.test_distributions import quad_moment
@@ -259,7 +261,7 @@ class TestZetaExpectation:
 
 
 def concept_major_oracle(dist, n, trials, seed):
-    """Mean of y/(1-y) with every chunk's draws dealt out by hand.
+    """The odds y/(1-y) with every chunk's draws dealt out by hand.
 
     Chunk i of ``rows_chunk(n)`` trials re-derives its stream, draws
     ``count * n`` overlaps and gives draw ``j * count + r`` to trial r as
@@ -274,7 +276,7 @@ def concept_major_oracle(dist, n, trials, seed):
         for j in range(1, n):
             y *= factors[:, j]
         odds.append(y / (1.0 - y))
-    return float(np.concatenate(odds).mean())
+    return np.concatenate(odds)
 
 
 class TestConceptMajorProducts:
@@ -284,4 +286,53 @@ class TestConceptMajorProducts:
     def test_mean_equals_the_oracle(self, n, trials, threads):
         dist = power_tail(1.0)
         chk = verify_zeta_expectation(dist, n, trials, MASTER_SEED, threads=threads)
-        assert chk.mc_estimate == concept_major_oracle(dist, n, trials, MASTER_SEED)
+        z = concept_major_oracle(dist, n, trials, MASTER_SEED)
+        assert chk.mc_estimate == float(z.mean())
+
+
+class TestExactStatistics:
+    # 255-257 straddle one block of _upper_quantile; 70000 and 200000 span
+    # two and four chunks of rows_chunk(3) = 65536 trials
+    @pytest.mark.parametrize("trials", [1, 2, 255, 256, 257, 70000, 200000])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_statistics_equal_numpy(self, trials, threads):
+        dist = uniform()
+        chk = verify_zeta_expectation(dist, 3, trials, MASTER_SEED, threads=threads)
+        z = concept_major_oracle(dist, 3, trials, MASTER_SEED)
+        assert chk.mc_estimate == float(np.mean(z))
+        if trials > 1:
+            assert chk.stderr == float(np.std(z, ddof=1) / np.sqrt(trials))
+        else:
+            assert chk.stderr == math.inf
+        assert chk.trimmed_mean == float(np.minimum(z, np.quantile(z, 0.9999)).mean())
+
+    def test_quantile_at_every_small_size(self):
+        z = 1.0 / np.random.default_rng(MASTER_SEED).random(1200) - 1.0
+        for size in range(1, z.size + 1):
+            assert _upper_quantile(z[:size], 0.9999) == np.quantile(z[:size], 0.9999)
+
+    @given(size=st.integers(1, 3000), pool=st.integers(1, 20),
+           q=st.sampled_from([0.9999, 0.999, 0.995]) | st.floats(0.9, 1.0),
+           last_block_max=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_quantile_selection_equals_numpy(self, size, pool, q, last_block_max,
+                                             seed):
+        # few distinct values give ties; the maximum can sit in the last,
+        # possibly partial, block
+        rng = np.random.default_rng(seed)
+        z = rng.choice(rng.pareto(1.0, pool), size)
+        if last_block_max:
+            z[rng.integers(size - 1 - (size - 1) % _QUANTILE_BLOCK, size)] = 2 * z.max() + 1
+        assert _upper_quantile(z, q) == np.quantile(z, q)
+
+    def test_peak_allocation(self):
+        # the odds (1.5 MiB) and one scratch array of the same size, with
+        # no full-size copy for the deviations, the quantile or the minimum
+        verify_zeta_expectation(uniform(), 3, 1000, MASTER_SEED)
+        tracemalloc.start()
+        try:
+            verify_zeta_expectation(uniform(), 3, 200000, MASTER_SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20

@@ -20,7 +20,7 @@ from batchlab.ensemble import (alpha1_decomposition, ensemble_estimate,
                                expected_time_zeta_sum, extreme_value)
 from batchlab.errors import ConfigError
 from batchlab.harness import RunConfig, compare_algorithms, run_scaling
-from batchlab.moment_zeta import mellin, zeta
+from batchlab.moment_zeta import mellin, verify_zeta_expectation, zeta
 from batchlab.simulators import (batch_time_quantile, empirical_n_delta,
                                  run_trials)
 from tests.conftest import outcome_within
@@ -36,6 +36,10 @@ REFUSALS = [
     ("zeta eps=nan", lambda: zeta(uniform(), 2.0, eps=math.nan), "eps"),
     ("mellin s=nan", lambda: mellin(uniform(), math.nan), "s"),
     ("mellin s=inf", lambda: mellin(uniform(), math.inf), "s"),
+    ("verify_zeta n=2.5",
+     lambda: verify_zeta_expectation(uniform(), 2.5, 100, 1), "n"),
+    ("verify_zeta trials=2.5",
+     lambda: verify_zeta_expectation(uniform(), 3, 2.5, 1), "trials"),
     ("alpha1 eps=-1", lambda: alpha1_decomposition(uniform(), 10, eps=-1.0), "eps"),
     ("moment_series eps=inf",
      lambda: expected_time_moment_series(power_tail(1.0), 10, eps=math.inf), "eps"),
@@ -120,6 +124,9 @@ def test_no_plain_value_error_is_raised():
 
 def test_integral_float_n_is_accepted():
     assert extreme_value(uniform(), [10.0], 100, 1).n_values == (10,)
+    chk = verify_zeta_expectation(uniform(), 3.0, 100.0, 1)
+    assert chk == verify_zeta_expectation(uniform(), 3, 100, 1)
+    assert type(chk.n) is int and type(chk.trials) is int
 
 
 def test_defaults_apply_only_where_read():
