@@ -312,7 +312,8 @@ def _bootstrap_exponent_ci(config, samples, fit) -> tuple:
 
     Each block of fits (one block unless its resamples pass 2**22 values)
     draws all its index vectors with one ``rng.integers`` call of shape
-    (fits, points, trials) and gathers them from the stacked samples.  The
+    (fits, points, trials), gathers them from the stacked samples and takes
+    the medians in place: at most two arrays of a block's size are alive.  The
     draws are those of one call per resample in fit-major order: the
     generator hands out 32-bit draws from a buffer it keeps in its own
     state, so splitting a call changes no value and leaves the stream where
@@ -328,9 +329,9 @@ def _bootstrap_exponent_ci(config, samples, fit) -> tuple:
     vals = []
     for start in range(0, _BOOTSTRAP_RESAMPLES, block):
         fits = min(block, _BOOTSTRAP_RESAMPLES - start)
-        idx = rng.integers(0, size, (fits, len(keep), size))
-        vals.append(np.median(np.take_along_axis(stacked[None], idx, axis=-1),
-                              axis=-1))
+        resampled = np.take_along_axis(
+            stacked[None], rng.integers(0, size, (fits, len(keep), size)), axis=-1)
+        vals.append(np.median(resampled, axis=-1, overwrite_input=True))
     exps = np.polyfit(np.log(ns), np.log(np.concatenate(vals).T), 1)[0]
     lo, hi = np.quantile(exps, [0.025, 0.975])
     return (float(min(lo, fit.exponent)), float(max(hi, fit.exponent)))
