@@ -19,8 +19,7 @@ from .ensemble import (RegimeWindowReport, Alpha1Decomposition, ConcentrationSum
 from .errors import (CensoringError, ConfigError, DivergenceError,
                      PrecisionLossError)
 from .harness import (ComparisonTable, LogLogFit, RunConfig, ScalingReport,
-                      compare_algorithms, emit, fit_loglog, parse_report,
-                      run_scaling)
+                      compare_algorithms, emit, fit_loglog, run_scaling)
 from .moment_zeta import (ZetaExpectationCheck, ZetaValue, mellin,
                           verify_zeta_expectation, zeta)
 from .simulators import (TrialBatch, batch_time_quantile, empirical_n_delta,

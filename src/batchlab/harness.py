@@ -12,8 +12,8 @@ N_delta for the three learners under shared-master-seed discipline.
 Serialization: :func:`json_text` and :func:`rows_csv` write every report and
 every CLI command's output, with losslessly rendered floats (shortest
 round-trip form); the command table in :mod:`batchlab.cli` says which of
-the two each command writes.  :func:`emit` serializes a report and
-:func:`parse_report` inverts it.
+the two each command writes.  :func:`emit` serializes a report; nothing
+parses one back.
 All result fields are byte-reproducible from (config, seed); wall-clock
 ``runtime_seconds`` is the one declared-volatile field.
 """
@@ -47,14 +47,19 @@ _BOOTSTRAP_RESAMPLES = 200
 
 
 def _list(kind):
-    return lambda text: tuple(kind(x) for x in text.split(",") if x)
+    # an empty entry is refused by ``kind``; an empty value means "not set"
+    return lambda text: tuple(kind(x) for x in text.split(",")) if text else ()
+
+
+def _yes_no(text):
+    # ValueError unless ``text`` is one of the six words, in any case
+    return ("0", "false", "no", "1", "true", "yes").index(text.lower()) > 2
 
 
 # how the text of a flag or a config-file line becomes each non-string field
 _PARSERS = {"n": int, "trials": int, "seed": int, "threads": int,
             "horizon": int, "delta": float, "eps": float, "s": float,
-            "n_sweep": _list(int), "p": _list(float),
-            "dump": lambda text: text.lower() in ("1", "true", "yes")}
+            "n_sweep": _list(int), "p": _list(float), "dump": _yes_no}
 
 # what a route that reads trials or eps takes where neither is set
 _DEFAULTS = {"trials": DEFAULT_TRIALS, "eps": DEFAULT_EPS}
@@ -212,8 +217,7 @@ class ScalingReport:
                    "n", "value", "error", "runtime_seconds")
 
     def csv_rows(self) -> list:
-        # report-level scalars repeat on every row so the file alone rebuilds
-        # the report
+        # each row carries the report's scalars
         common = {"schema": self.SCHEMA, "dist": self.dist, "method": self.method,
                   "trials": self.trials, "seed": self.seed,
                   "fitted_exponent": self.fitted_exponent,
@@ -223,20 +227,6 @@ class ScalingReport:
                  "runtime_seconds": seconds}
                 for n, (value, error), seconds
                 in zip(self.n_values, self.estimates, self.runtime_seconds)]
-
-    @classmethod
-    def from_csv_rows(cls, rows: list) -> "ScalingReport":
-        """Inverse of :meth:`csv_rows`, from rows of text cells."""
-        first = rows[0]
-        return cls(**_csv_scalars(cls, first),
-                   trials=int(first["trials"]) if first["trials"] else None,
-                   n_values=tuple(int(r["n"]) for r in rows),
-                   estimates=tuple((float(r["value"]),
-                                    float(r["error"]) if r["error"] else None)
-                                   for r in rows),
-                   exponent_ci=(float(first["ci_lo"]), float(first["ci_hi"])),
-                   runtime_seconds=tuple(float(r["runtime_seconds"]) for r in rows),
-                   discarded=tuple(map(float, _split(first["discarded"]))))
 
     def result_fields(self) -> dict:
         """Everything except wall-clock runtimes (the byte-stable content)."""
@@ -385,17 +375,6 @@ class ComparisonTable:
         return [{**common, "n": n, "algorithm": alg, "n_delta": self.n_delta[alg][i]}
                 for i, n in enumerate(self.n_values) for alg in self.algorithms]
 
-    @classmethod
-    def from_csv_rows(cls, rows: list) -> "ComparisonTable":
-        """Inverse of :meth:`csv_rows`, from rows of text cells."""
-        algorithms = tuple(dict.fromkeys(r["algorithm"] for r in rows))
-        return cls(**_csv_scalars(cls, rows[0]),
-                   n_values=tuple(dict.fromkeys(int(r["n"]) for r in rows)),
-                   algorithms=algorithms,
-                   n_delta={a: tuple(int(r["n_delta"]) for r in rows
-                                     if r["algorithm"] == a) for a in algorithms},
-                   violations=_split(rows[0]["violations"]))
-
     def result_fields(self) -> dict:
         return _plain_dict(self)
 
@@ -445,16 +424,16 @@ def _plain(v):
         return {k: _plain(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_plain(x) for x in v]
-    if isinstance(v, np.floating):
-        return float(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else None
     if isinstance(v, np.integer):
         return int(v)
     return v
 
 
 def json_text(payload: dict) -> str:
-    """``payload`` as indented JSON with sorted keys and a final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``payload`` as sorted, indented JSON and a newline; NaN and inf as null."""
+    return json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n"
 
 
 def rows_csv(rows: list, columns: Sequence[str]) -> str:
@@ -464,9 +443,6 @@ def rows_csv(rows: list, columns: Sequence[str]) -> str:
     w.writerow(columns)
     w.writerows(["" if row[c] is None else row[c] for c in columns] for row in rows)
     return buf.getvalue()
-
-
-_REPORTS = {cls.SCHEMA: cls for cls in (ScalingReport, ComparisonTable)}
 
 
 def emit(report, fmt: str) -> str:
@@ -480,45 +456,5 @@ def emit(report, fmt: str) -> str:
     if fmt == "csv":
         return rows_csv(report.csv_rows(), report.CSV_COLUMNS)
     if fmt == "json":
-        return json_text({"schema": report.SCHEMA, **_plain_dict(report)})
+        return json_text({"schema": report.SCHEMA, **dataclasses.asdict(report)})
     raise ConfigError(f"format must be csv or json, got {fmt!r}")
-
-
-def _tuples(v):
-    """JSON lists back to tuples, at any depth."""
-    if isinstance(v, dict):
-        return {k: _tuples(x) for k, x in v.items()}
-    if isinstance(v, list):
-        return tuple(_tuples(x) for x in v)
-    return v
-
-
-def _csv_scalars(cls, row: dict) -> dict:
-    """The scalar fields of report ``cls`` that are CSV columns, typed."""
-    types = {"str": str, "int": int, "float": float}
-    return {f.name: types[f.type](row[f.name]) for f in dataclasses.fields(cls)
-            if f.name in cls.CSV_COLUMNS and f.type in types}
-
-
-def _split(cell: str) -> tuple:
-    """A ``;``-joined CSV cell back to its tuple of strings."""
-    return tuple(v for v in cell.split(";") if v)
-
-
-def parse_report(text: str):
-    """Inverse of :func:`emit` for both formats and both report types."""
-    if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        schema = payload.pop("schema", None)
-        if schema not in _REPORTS:
-            raise ConfigError(f"unknown schema {schema!r}")
-        cls = _REPORTS[schema]
-        return cls(**{f.name: _tuples(payload[f.name])
-                      for f in dataclasses.fields(cls)})
-    rows = list(csv.DictReader(io.StringIO(text)))
-    if not rows:
-        raise ConfigError("empty csv report")
-    schema = rows[0]["schema"]
-    if schema not in _REPORTS:
-        raise ConfigError(f"unknown csv schema {schema!r}")
-    return _REPORTS[schema].from_csv_rows(rows)

@@ -1,6 +1,17 @@
-"""CLI surface: subcommands, exit codes, config files, output routing."""
+"""CLI surface: subcommands, exit codes, config files, output routing.
 
+``tests/golden/`` pins the exact stdout of every README command and of the
+argv lists in ``GOLDEN_EXTRA``, with the CLI's clock replaced by a fixed
+ramp so that ``runtime_seconds`` is pinned too.  Where a golden file is
+missing, ``TestReadme::test_command_runs`` writes it and fails.  A change
+that means to move an output deletes the file, runs the test once, commits
+the new file and lists every moved line in CHANGES.md.
+"""
+
+import csv
 import dataclasses
+import io
+import itertools
 import json
 import math
 import os
@@ -9,12 +20,13 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from batchlab import cli, harness
 from batchlab.cli import main
-from batchlab.harness import RunConfig, parse_report
+from batchlab.harness import RunConfig
 from tests.conftest import MASTER_SEED
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -247,8 +259,7 @@ class TestScalingAndCompare:
                                 "--n-sweep", "100,316,1000,3162,10000",
                                 "--seed", "5", "--format", "json"], capsys)
         assert code == 0
-        rep = parse_report(out)
-        assert abs(rep.fitted_exponent - 0.5) < 0.05
+        assert abs(json.loads(out)["fitted_exponent"] - 0.5) < 0.05
 
     def test_193_sweep_rejected(self, capsys):
         code, _, _ = run_cli(["scaling", "--dist", "uniform", "--n-sweep",
@@ -261,8 +272,8 @@ class TestScalingAndCompare:
                                 "--seed", str(MASTER_SEED), "--format",
                                 "csv"], capsys)
         assert code == 0
-        rep = parse_report(out)
-        assert rep.violations == ()
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(row["violations"] == "" for row in rows)
 
     def test_compare_rejects_n_with_n_sweep(self, capsys):
         code, out, err = run_cli(["compare", "--n", "5", "--n-sweep", "10,30",
@@ -292,7 +303,10 @@ class TestScalingAndCompare:
                 "--seed", str(MASTER_SEED), "--format", "json"]
         _, out1, _ = run_cli(base + ["--threads", "1"], capsys)
         _, out4, _ = run_cli(base + ["--threads", "4"], capsys)
-        assert parse_report(out1).result_fields() == parse_report(out4).result_fields()
+        payload1, payload4 = json.loads(out1), json.loads(out4)
+        for payload in (payload1, payload4):
+            payload.pop("runtime_seconds")
+        assert payload1 == payload4
 
 
 class TestExitCodes:
@@ -389,6 +403,9 @@ class TestSingleParser:
         ["simulate", "--alg", "batch", "--n", "1.5"],
         ["ndelta", "--p", "0.9;0.2", "--delta", "0.5"],
         ["scaling", "--n-sweep", "10,100,1000,x"],
+        ["ndelta", "--p", "0.9,,0.5", "--delta", "0.1"],
+        ["extremes", "--n-sweep", "10,,100"],
+        ["extremes", "--n-sweep", "10,100,"],
     ], ids=lambda v: " ".join(v))
     def test_malformed_numeric_flag_is_config_error(self, capsys, args):
         code, out, err = run_cli(args, capsys)
@@ -452,6 +469,20 @@ class TestConfigFileAndOutput:
         assert code == 0
         v_flag = json.loads(out)["value"]
         assert abs(v_flag - 1.0) < 1e-7 and v_file != v_flag
+
+    @pytest.mark.parametrize("text, dump", [("YES", True), ("1", True),
+                                            ("No", False), ("false", False),
+                                            ("banana", None), ("ture", None)])
+    def test_dump_in_config_file(self, capsys, tmp_path, text, dump):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dump={text}\n")
+        code, out, err = run_cli(["simulate", "--alg", "batch", "--n", "3",
+                                  "--trials", "4", "--config", str(cfg)], capsys)
+        if dump is None:
+            assert code == 2 and out == ""
+            assert err == f"config error: bad value {text!r} for dump\n"
+        else:
+            assert code == 0 and out.startswith("trial,time\n") == dump
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(["zeta", "--config", "/no/such/file",
@@ -551,14 +582,50 @@ def readme_commands():
 
 README_COMMANDS = readme_commands()
 
+# argv lists beyond the README's, so that every command writes every format
+# it can: the bench's ensemble JSON, extremes JSON (one n, where the fit has
+# too few points), and the simulate summary (censored trials included)
+GOLDEN_EXTRA = [
+    ["ensemble", "--dist", "powertail:beta=1", "--n", "1000", "--method",
+     "moment_series", "--format", "json"],
+    ["extremes", "--dist", "uniform", "--n-sweep", "100,1000", "--trials", "2000",
+     "--format", "json"],
+    ["extremes", "--dist", "uniform", "--n-sweep", "100", "--trials", "50",
+     "--format", "json"],
+    ["simulate", "--alg", "memoryless", "--n", "30", "--trials", "500",
+     "--seed", "7"],
+    ["simulate", "--alg", "memoryless", "--n", "50", "--horizon", "1",
+     "--trials", "5", "--seed", "1"],
+]
+
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def golden_path(args):
+    return GOLDEN / (re.sub(r"[^\w.=-]+", "_", " ".join(args)) + ".txt")
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
 
 class TestReadme:
     def test_every_command_is_shown(self):
         assert {args[0] for args in README_COMMANDS} == set(cli._COMMANDS)
 
-    @pytest.mark.parametrize("args", README_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("args", README_COMMANDS + GOLDEN_EXTRA, ids=" ".join)
     def test_command_runs(self, capsys, monkeypatch, tmp_path, args):
         monkeypatch.chdir(tmp_path)
+        # the only clock readers: each reading is 0.25 s after the last
+        ramp = SimpleNamespace(perf_counter=itertools.count(0.0, 0.25).__next__)
+        monkeypatch.setattr(cli, "time", ramp)
+        monkeypatch.setattr(harness, "time", ramp)
         code, out, err = run_cli(args, capsys)
         assert code == 0, err
-        assert out
+        path = golden_path(args)
+        if not path.exists():
+            path.write_text(out)
+            pytest.fail(f"wrote {path.name}; check it and commit it")
+        assert out == path.read_text()
+        if out.startswith("{"):
+            json.loads(out, parse_constant=refuse_constant)

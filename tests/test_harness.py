@@ -1,6 +1,9 @@
 """Config handling, exponent fitting, sweeps, comparison, serialization."""
 
+import csv
 import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -9,9 +12,8 @@ from numpy.testing import assert_allclose
 
 from batchlab.distributions import parse_dist, uniform
 from batchlab.errors import ConfigError
-from batchlab.harness import (_BOOTSTRAP_RESAMPLES, ComparisonTable, RunConfig,
-                              ScalingReport, compare_algorithms, emit,
-                              fit_loglog, parse_report, run_scaling)
+from batchlab.harness import (_BOOTSTRAP_RESAMPLES, RunConfig, ScalingReport,
+                              compare_algorithms, emit, fit_loglog, run_scaling)
 from batchlab.simulators import run_trials
 from tests.conftest import MASTER_SEED
 from tests.oracles import bootstrap_exponent_ci
@@ -194,21 +196,7 @@ def _sample_scaling_report():
         trials=100, seed=42)
 
 
-def _sample_comparison():
-    return ComparisonTable(
-        dist="uniform", delta=0.1, trials=10, seed=3, n_values=(10, 100),
-        algorithms=("batch", "memoryless", "full_memory"),
-        n_delta={"batch": (5, 50), "memoryless": (7, 70),
-                 "full_memory": (6, 60)},
-        violations=())
-
-
 class TestSerialization:
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_scaling_round_trip(self, fmt):
-        rep = _sample_scaling_report()
-        assert parse_report(emit(rep, fmt)) == rep
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_scaling_without_trials_round_trip(self, fmt):
         # moment_series draws nothing, so its report carries no trial count
@@ -217,17 +205,11 @@ class TestSerialization:
                                     method="moment_series"))
         assert rep.trials is None
         text = emit(rep, fmt)
-        assert parse_report(text) == rep
         if fmt == "csv":
             header, first = text.splitlines()[:2]
             assert first.split(",")[header.split(",").index("trials")] == ""
         else:
             assert '"trials": null' in text
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_comparison_round_trip(self, fmt):
-        rep = _sample_comparison()
-        assert parse_report(emit(rep, fmt)) == rep
 
     def test_empty_sweep_emits_header_only(self):
         rep = dataclasses.replace(_sample_scaling_report(), n_values=(),
@@ -236,7 +218,6 @@ class TestSerialization:
         assert text.count("\n") == 1 and text.startswith("schema,")
 
     def test_json_carries_seed_and_schema(self):
-        import json
         payload = json.loads(emit(_sample_scaling_report(), "json"))
         assert payload["schema"].startswith("batchlab/")
         assert payload["seed"] == 42
@@ -246,10 +227,13 @@ class TestSerialization:
             _sample_scaling_report(),
             estimates=((math.pi * 1e-7, 2.0**-40), (1.0 / 3.0, None)),
             fitted_exponent=0.1 + 0.2)
-        for fmt in ("csv", "json"):
-            again = parse_report(emit(rep, fmt))
-            assert again.estimates == rep.estimates
-            assert again.fitted_exponent == rep.fitted_exponent
+        payload = json.loads(emit(rep, "json"))
+        assert [tuple(e) for e in payload["estimates"]] == list(rep.estimates)
+        assert payload["fitted_exponent"] == rep.fitted_exponent
+        rows = list(csv.DictReader(io.StringIO(emit(rep, "csv"))))
+        assert [(float(r["value"]), float(r["error"]) if r["error"] else None)
+                for r in rows] == list(rep.estimates)
+        assert {float(r["fitted_exponent"]) for r in rows} == {rep.fitted_exponent}
 
     def test_emit_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="xml"):
