@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import poch
 
-from .errors import ConfigError
+from .errors import ConfigError, count
 
 _ULP = 2.0 ** -52
 
@@ -100,9 +100,7 @@ class OverlapDistribution:
         Draws equal to exactly 1.0 (possible only through rounding) are
         resampled.
         """
-        if n < 0:
-            raise ConfigError("n must be >= 0")
-        x = self._sample(n, rng)
+        x = self._sample(count("n", n, least=0), rng)
         bad = x >= 1.0
         while bad.any():
             x[bad] = self._sample(int(bad.sum()), rng)

@@ -38,7 +38,7 @@ from . import calibration
 # expected_time_fast is unused here; bench/layertrace.py wraps it in this module
 from .batch_exact import expected_time_bulk, expected_time_fast  # noqa: F401
 from .distributions import _ULP, OverlapDistribution
-from .errors import ConfigError, DivergenceError, PrecisionLossError
+from .errors import ConfigError, DivergenceError, PrecisionLossError, count
 from .moment_zeta import _certified_sum, zeta
 # bench/layertrace.py patches map_chunks in this module, so the name stays
 from .rng import STREAM_ENSEMBLE, STREAM_EXTREMES, map_chunks  # noqa: F401
@@ -92,8 +92,7 @@ def expected_time_zeta_sum(dist: OverlapDistribution, n: int) -> ZetaSumTime:
     about n bits to cancellation.  Refuses (PrecisionLossError) when the
     estimated ulp loss sum|t_k| / |T| exceeds 1e6.
     """
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = count("n", n)
     if n > 30:
         raise ConfigError("n must be <= 30 for the zeta sum; "
                           "use expected_time_moment_series")
@@ -134,8 +133,7 @@ def expected_time_moment_series(dist: OverlapDistribution, n: int,
     never 0.  Diverges (DivergenceError) for alpha <= 1, where sum n*m_j is
     infinite: use :func:`alpha1_decomposition`.
     """
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = count("n", n)
     if not 0.0 < eps < math.inf:
         raise ConfigError("eps must be positive and finite")
     if dist.has_power_tail:
@@ -170,8 +168,7 @@ def alpha1_decomposition(dist: OverlapDistribution, n: int,
     the tail's sensitivity to the error of m_J and a rounding allowance.
     Requires n >= 2, a tail exponent of exactly 1 and a finite eps > 0.
     """
-    if n < 2:
-        raise ConfigError("n must be >= 2 for the alpha = 1 split")
+    n = count("n", n, least=2)
     alpha, c = dist.tail_parameters()
     if abs(alpha - 1.0) > 1e-12:
         raise ConfigError(f"dist must have alpha = 1 for this split, got {alpha:g}")
@@ -277,8 +274,7 @@ def expected_time_integral(dist: OverlapDistribution, n: int) -> float:
     alpha, c = dist.tail_parameters()
     if alpha <= 1.0:
         raise DivergenceError(f"limit integral diverges for alpha = {alpha:g} <= 1")
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = count("n", n)
     return n ** (1.0 / alpha) * c ** (1.0 / alpha) * math.gamma(1.0 - 1.0 / alpha)
 
 
@@ -312,8 +308,7 @@ def sum_inverse_gap_concentration(dist: OverlapDistribution, n: int,
     beta = 0: S/(n log n) -> 1, so n must be at least 2;
     beta < 0: S/n**(1/(1+beta)) is tight with no point limit.
     """
-    if n < 1 or trials < 1:
-        raise ConfigError("n and trials must be >= 1")
+    n, trials = count("n", n), count("trials", trials)
     alpha, _ = dist.tail_parameters()
     beta = alpha - 1.0
     if beta == 0.0 and n < 2:
@@ -383,21 +378,16 @@ def extreme_value(dist: OverlapDistribution, n_values: Sequence[int],
     Every law with a power tail has P(1 - p <= x) = x**alpha exactly, so each
     trial's minimum gap is drawn by inversion of its law from one uniform of
     the chunk streams ``(seed, STREAM_EXTREMES, j, i)`` for the j-th n; no
-    overlap vector is drawn.  Needs integral n-sweep entries >= 1 (``10.0``
+    overlap vector is drawn.  Needs whole n-sweep entries >= 1 (``10.0``
     passes, ``10.7`` is refused) and trials >= 2.
     """
     if not n_values:
         raise ConfigError("n-sweep must hold at least one n value")
-    if not all(float(v).is_integer() for v in n_values):
-        raise ConfigError(f"n-sweep entries must be integers, got {list(n_values)}")
-    if min(n_values) < 1:
-        raise ConfigError("n-sweep entries must be >= 1")
-    if trials < 2:
-        raise ConfigError("trials must be >= 2")
+    n_values = [count("n-sweep entry", v) for v in n_values]
+    trials = count("trials", trials, least=2)
     alpha, _ = dist.tail_parameters()
     beta = alpha - 1.0
 
-    n_values = [int(v) for v in n_values]
     means, errs = [], []
     ks_n = max(n_values)
     ks_sample = None
@@ -460,8 +450,7 @@ def regime_window_check(dist: OverlapDistribution, n: int, trials: int,
                         seed: int, threads: int = 1) -> RegimeWindowReport:
     """Sample p-vectors, compute per-sample expected word counts, and report
     how they sit inside the frozen order-of-magnitude window."""
-    if n < 2 or trials < 1:
-        raise ConfigError("n must be >= 2 and trials >= 1")
+    n, trials = count("n", n, least=2), count("trials", trials)
     alpha, _ = dist.tail_parameters()
     beta = alpha - 1.0
 
@@ -513,8 +502,7 @@ def ensemble_estimate(dist: OverlapDistribution, n: int, method: str,
     """
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = count("n", n)
     if trials is not None and method != "monte_carlo":
         raise ConfigError(f"trials is read by method monte_carlo only, not {method}")
     if eps is not None and method != "moment_series":

@@ -3,6 +3,11 @@
 Exit-code mapping for the CLI lives in :mod:`batchlab.cli`: config errors
 exit 2, divergence signals exit 3, precision/censoring failures exit 4, and
 any other exception exits 1.
+
+Every count a library route reads (n, trials, horizon, threads, each n-sweep
+entry) goes through :func:`count`, once, where the route reads it: a whole
+number passes as an int (``10.0`` passes as 10), anything else is a
+``ConfigError`` before any work.
 """
 
 
@@ -20,3 +25,11 @@ class CensoringError(RuntimeError):
 
 class ConfigError(ValueError):
     """Any input outside its documented limits, from the library or the CLI alike."""
+
+
+def count(field: str, value, least: int = 1) -> int:
+    """``value`` as an int if it is a whole number >= ``least``, else a
+    ConfigError whose message starts with ``field``."""
+    if not (float(value).is_integer() and value >= least):
+        raise ConfigError(f"{field} must be a whole number >= {least}, got {value!r}")
+    return int(value)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .distributions import parse_dist
 from .ensemble import DEFAULT_EPS, expected_time_moment_series
-from .errors import ConfigError
+from .errors import ConfigError, count
 from .rng import STREAM_SCALING, derive_rng
 from .simulators import (ALGORITHMS, DEFAULT_HORIZON, DEFAULT_TRIALS,
                          _median_ci_halfwidth, empirical_n_delta, run_trials)
@@ -161,15 +161,17 @@ class LogLogFit:
 def fit_loglog(n_values: Sequence[float], values: Sequence[float]) -> LogLogFit:
     """OLS fit of log(value) on log(n).
 
-    The smallest n point is discarded (and reported) when its leave-one-out
-    residual exceeds 3x the RMSE of the fit without it: the scaling laws
-    under test are asymptotic and a pre-asymptotic transient at the low end
-    is expected, never hidden.
+    The n values must be strictly increasing.  The smallest n point is
+    discarded (and reported) when its leave-one-out residual exceeds 3x the
+    RMSE of the fit without it: the scaling laws under test are asymptotic
+    and a pre-asymptotic transient at the low end is expected, never hidden.
     """
     n_values = np.asarray(n_values, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if n_values.size != values.size or n_values.size < 3:
         raise ConfigError("need >= 3 matched (n, value) points")
+    if np.any(np.diff(n_values) <= 0.0):
+        raise ConfigError("n values must be strictly increasing")
     if np.any(values <= 0.0) or np.any(n_values <= 0.0):
         raise ConfigError("log-log fit needs positive data")
     x, y = np.log(n_values), np.log(values)
@@ -230,7 +232,7 @@ class ScalingReport:
 
     def result_fields(self) -> dict:
         """Everything except wall-clock runtimes (the byte-stable content)."""
-        d = _plain_dict(self)
+        d = _plain(dataclasses.asdict(self))
         d.pop("runtime_seconds")
         return d
 
@@ -243,11 +245,9 @@ def run_scaling(config: RunConfig) -> ScalingReport:
     when E[T] does not exist).  Default: moment_series when defined.
     ``trials`` set for moment_series or ``eps`` for mc_median is refused.
     """
-    ns = tuple(config.n_sweep)
+    ns = tuple(count("n-sweep entry", v) for v in config.n_sweep)
     if len(ns) < 4:
         raise ConfigError("n-sweep needs >= 4 values for scaling")
-    if min(ns) < 1:
-        raise ConfigError("n-sweep entries must be >= 1")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError("n-sweep must be strictly increasing")
     if ns[-1] < 100 * ns[0]:
@@ -264,40 +264,40 @@ def run_scaling(config: RunConfig) -> ScalingReport:
         raise ConfigError(f"trials is read by method mc_median only, not {method}")
     if config.eps is not None and method != "moment_series":
         raise ConfigError(f"eps is read by method moment_series only, not {method}")
+    trials = count("trials", config.read("trials")) if method == "mc_median" else None
 
     values, errors, runtimes, samples = [], [], [], []
-    for idx, n in enumerate(config.n_sweep):
+    for n in ns:
         t0 = time.perf_counter()
         if method == "moment_series":
-            r = expected_time_moment_series(dist, int(n), eps=config.read("eps"))
+            r = expected_time_moment_series(dist, n, eps=config.read("eps"))
             values.append(r.value)
             errors.append(r.error_bound)
             samples.append(None)
         else:
-            batch = run_trials("batch", dist, int(n), config.read("trials"),
-                               config.seed, threads=config.threads)
+            batch = run_trials("batch", dist, n, trials, config.seed,
+                               threads=config.threads)
             times = batch.times
             values.append(float(np.median(times)))
             errors.append(_median_ci_halfwidth(times))
             samples.append(times)
         runtimes.append(time.perf_counter() - t0)
 
-    fit = fit_loglog(config.n_sweep, values)
+    fit = fit_loglog(ns, values)
     if method == "mc_median":
-        ci = _bootstrap_exponent_ci(config, samples, fit)
+        ci = _bootstrap_exponent_ci(config.seed, ns, samples, fit)
     else:
-        ci = _jackknife_exponent_ci(config.n_sweep, values, fit)
+        ci = _jackknife_exponent_ci(ns, values, fit)
     return ScalingReport(
-        dist=config.dist, method=method, n_values=tuple(int(v) for v in config.n_sweep),
+        dist=config.dist, method=method, n_values=ns,
         estimates=tuple((float(v), None if e is None else float(e))
                         for v, e in zip(values, errors)),
         fitted_exponent=fit.exponent, exponent_ci=ci,
         runtime_seconds=tuple(runtimes), discarded=fit.discarded,
-        trials=config.read("trials") if method == "mc_median" else None,
-        seed=config.seed)
+        trials=trials, seed=config.seed)
 
 
-def _bootstrap_exponent_ci(config, samples, fit) -> tuple:
+def _bootstrap_exponent_ci(seed, n_values, samples, fit) -> tuple:
     """Percentile CI over per-point trial resamples (200 bootstrap fits).
 
     Each block of fits (one block unless its resamples pass 2**22 values)
@@ -309,10 +309,9 @@ def _bootstrap_exponent_ci(config, samples, fit) -> tuple:
     state, so splitting a call changes no value and leaves the stream where
     it was.
     """
-    rng = derive_rng(config.seed, STREAM_SCALING, 0)
-    keep = [i for i, n in enumerate(config.n_sweep)
-            if float(n) not in fit.discarded]
-    ns = [config.n_sweep[i] for i in keep]
+    rng = derive_rng(seed, STREAM_SCALING, 0)
+    keep = [i for i, n in enumerate(n_values) if float(n) not in fit.discarded]
+    ns = [n_values[i] for i in keep]
     stacked = np.stack([samples[i] for i in keep])
     size = stacked.shape[1]
     block = max(1, (1 << 22) // (len(keep) * size))
@@ -375,9 +374,6 @@ class ComparisonTable:
         return [{**common, "n": n, "algorithm": alg, "n_delta": self.n_delta[alg][i]}
                 for i, n in enumerate(self.n_values) for alg in self.algorithms]
 
-    def result_fields(self) -> dict:
-        return _plain_dict(self)
-
 
 def compare_algorithms(config: RunConfig) -> ComparisonTable:
     """Empirical N_delta for batch / memoryless / full_memory at each n."""
@@ -385,15 +381,14 @@ def compare_algorithms(config: RunConfig) -> ComparisonTable:
         raise ConfigError("n and n-sweep cannot both be set for compare")
     if not config.n_sweep and config.n is None:
         raise ConfigError("n or n-sweep must be set for compare")
-    n_values = tuple(int(v) for v in (config.n_sweep or (config.n,)))
-    if min(n_values) < 1:
-        raise ConfigError(f"n must be >= 1, got {min(n_values)}")
+    n_values = tuple(count("n", v) for v in (config.n_sweep or (config.n,)))
+    trials = count("trials", config.read("trials"))
     dist = parse_dist(config.dist)
     table = {alg: [] for alg in ALGORITHMS}
     for n in n_values:
         for alg in ALGORITHMS:
             table[alg].append(empirical_n_delta(
-                alg, dist, n, config.delta, config.read("trials"), config.seed,
+                alg, dist, n, config.delta, trials, config.seed,
                 horizon=config.horizon, threads=config.threads))
     violations = []
     beta = (dist.tail_parameters()[0] - 1.0) if dist.has_power_tail else None
@@ -404,7 +399,7 @@ def compare_algorithms(config: RunConfig) -> ComparisonTable:
                     f"n={n}: batch N_delta {table['batch'][i]} > "
                     f"memoryless {table['memoryless'][i]}")
     return ComparisonTable(dist=config.dist, delta=config.delta,
-                           trials=config.read("trials"), seed=config.seed,
+                           trials=trials, seed=config.seed,
                            n_values=n_values, algorithms=ALGORITHMS,
                            n_delta={a: tuple(v) for a, v in table.items()},
                            violations=tuple(violations))
@@ -413,10 +408,6 @@ def compare_algorithms(config: RunConfig) -> ComparisonTable:
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
-
-
-def _plain_dict(obj) -> dict:
-    return {k: _plain(v) for k, v in dataclasses.asdict(obj).items()}
 
 
 def _plain(v):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _ULP, OverlapDistribution
-from .errors import ConfigError, DivergenceError, PrecisionLossError
+from .errors import ConfigError, DivergenceError, PrecisionLossError, count
 # map_chunks is looked up in this module at call time, so that
 # bench/layertrace.py can patch it here
 from .rng import STREAM_ZETA_CHECK, derive_rng, map_chunks, rows_chunk
@@ -245,12 +245,11 @@ def verify_zeta_expectation(
     ``np.minimum(z, np.quantile(z, 0.9999)).mean()`` over the odds z, bit
     for bit.
 
-    Raises ConfigError for an n or trials that is not an integer >= 1
-    (integral floats pass), and DivergenceError when n * alpha <= 1: the
+    Raises ConfigError for an n or trials that is not a whole number >= 1
+    (``3.0`` passes), and DivergenceError when n * alpha <= 1: the
     expectation is undefined exactly when the zeta function is.
     """
-    n = _count("n", n)
-    trials = _count("trials", trials)
+    n, trials = count("n", n), count("trials", trials)
     if dist.has_power_tail:
         alpha, _ = dist.tail_parameters()
         if n * alpha <= 1.0:
@@ -285,15 +284,6 @@ def verify_zeta_expectation(
         trials=trials,
         n=n,
     )
-
-
-def _count(field: str, value) -> int:
-    """``value`` as an int >= 1, or ConfigError naming ``field``."""
-    if not float(value).is_integer():
-        raise ConfigError(f"{field} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"{field} must be >= 1")
-    return int(value)
 
 
 def _upper_quantile(z: np.ndarray, q: float) -> float:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, count
 
 #: Trials per deterministic chunk.  Fixed: changing it changes the streams.
 CHUNK_SIZE = 65536
@@ -73,8 +73,9 @@ def map_chunks(
 
     ``fn`` must derive any randomness from its chunk index, never from shared
     state.  Results are returned in chunk order, so output is identical for
-    any ``threads`` value.
+    any ``threads`` value, a whole number >= 1.
     """
+    threads = count("threads", threads)
     bounds = chunk_bounds(n_items, chunk_size)
     if threads <= 1 or len(bounds) <= 1:
         return [fn(i, lo, hi) for i, (lo, hi) in enumerate(bounds)]

@@ -63,7 +63,7 @@ import numpy as np
 
 from .batch_exact import _as_p, _first_step
 from .distributions import OverlapDistribution
-from .errors import CensoringError, ConfigError
+from .errors import CensoringError, ConfigError, count
 # map_chunks is called as a module global so bench/layertrace.py can wrap it
 from .rng import (CHUNK_SIZE, STREAM_BATCH, STREAM_FULL_MEMORY,
                   STREAM_MEMORYLESS, derive_rng, map_chunks, rows_chunk)
@@ -169,8 +169,7 @@ def batch_time_quantile(dist: OverlapDistribution, n: int, u) -> np.ndarray:
     the float64 range comes back as inf.
     """
     u = np.asarray(u, dtype=np.float64)
-    if n < 0:
-        raise ConfigError("n must be >= 0")
+    n = count("n", n, least=0)
     if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ConfigError("u must lie in [0, 1]")
     if n == 0:
@@ -321,15 +320,13 @@ def run_trials(
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
+    trials = count("trials", trials)
+    horizon = count("horizon", horizon)
     if fixed_p is not None:
         fixed_p = _as_p(fixed_p, forbid_one=(algorithm != "memoryless"))
         n = fixed_p.size
-    elif n < 0:
-        raise ConfigError("n must be >= 0")
+    else:
+        n = count("n", n, least=0)
     path = (_ALG_STREAM[algorithm],)
     chunk_rows = rows_chunk(n, _LEARNER_BUDGET)
     if fixed_p is None and algorithm == "batch":

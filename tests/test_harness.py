@@ -235,6 +235,14 @@ class TestSerialization:
                 for r in rows] == list(rep.estimates)
         assert {float(r["fitted_exponent"]) for r in rows} == {rep.fitted_exponent}
 
+    def test_numpy_integer_seed_emits_as_int(self):
+        # a Python caller may pass numpy integers; JSON gets plain ints
+        def text(seed):
+            rep = run_scaling(RunConfig(n_sweep=(10, 30, 100, 1000), trials=50,
+                                        method="mc_median", seed=seed))
+            return emit(dataclasses.replace(rep, runtime_seconds=()), "json")
+        assert text(np.int64(3)) == text(3)
+
     def test_emit_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="xml"):
             emit(_sample_scaling_report(), "xml")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from batchlab.distributions import power_tail, scaled, uniform
+from batchlab.distributions import parse_dist, power_tail, scaled, uniform
 from batchlab.errors import DivergenceError
 from batchlab.moment_zeta import (_QUANTILE_BLOCK, _upper_quantile, mellin,
                                   verify_zeta_expectation, zeta)
@@ -253,6 +253,13 @@ class TestZetaExpectation:
     def test_variance_finite_regime(self):
         chk = verify_zeta_expectation(power_tail(1.0), 2, 10**5, MASTER_SEED)
         assert chk.variance_finite            # n*alpha = 4 > 2
+
+    def test_law_without_power_tail(self):
+        # support in [0, 1/2]: the odds are bounded, so every moment is finite
+        dist = parse_dist("scaled:a=0.5,inner=uniform")
+        chk = verify_zeta_expectation(dist, 1, 10**5, MASTER_SEED)
+        assert chk.variance_finite
+        assert abs(chk.mc_estimate - chk.zeta_value) <= 5.0 * chk.stderr
 
     def test_thread_count_does_not_change_results(self):
         a = verify_zeta_expectation(uniform(), 3, 200000, MASTER_SEED, threads=1)

@@ -10,6 +10,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from batchlab.batch_exact import expected_time_series, n_delta
@@ -17,9 +18,12 @@ from batchlab.distributions import parse_dist, power_tail, scaled, uniform
 from batchlab.ensemble import (alpha1_decomposition, ensemble_estimate,
                                expected_time_integral,
                                expected_time_moment_series,
-                               expected_time_zeta_sum, extreme_value)
+                               expected_time_zeta_sum, extreme_value,
+                               regime_window_check,
+                               sum_inverse_gap_concentration)
 from batchlab.errors import ConfigError
-from batchlab.harness import RunConfig, compare_algorithms, run_scaling
+from batchlab.harness import (RunConfig, compare_algorithms, fit_loglog,
+                              run_scaling)
 from batchlab.moment_zeta import mellin, verify_zeta_expectation, zeta
 from batchlab.simulators import (batch_time_quantile, empirical_n_delta,
                                  run_trials)
@@ -98,6 +102,49 @@ REFUSALS = [
      lambda: compare_algorithms(RunConfig(n=5, n_sweep=(10, 30))), "n and n-sweep"),
     ("compare neither", lambda: compare_algorithms(RunConfig()), "n or n-sweep"),
     ("compare n=0", lambda: compare_algorithms(RunConfig(n=0)), "n"),
+    # a count that is not a whole number, once truncated, mislabelled or
+    # met by a TypeError deep in the route
+    ("compare n=10.5", lambda: compare_algorithms(RunConfig(n=10.5)), "n"),
+    ("scaling sweep from 10.5",
+     lambda: run_scaling(RunConfig(n_sweep=(10.5, 30, 100, 1100))), "n-sweep"),
+    ("run_trials batch n=10.5", lambda: run_trials("batch", uniform(), 10.5, 3, 1),
+     "n"),
+    ("run_trials memoryless n=10.5",
+     lambda: run_trials("memoryless", uniform(), 10.5, 3, 1), "n"),
+    ("run_trials full_memory n=10.5",
+     lambda: run_trials("full_memory", uniform(), 10.5, 3, 1), "n"),
+    ("run_trials trials=2.5", lambda: run_trials("batch", uniform(), 5, 2.5, 1),
+     "trials"),
+    ("run_trials horizon=2.5",
+     lambda: run_trials("memoryless", uniform(), 5, 5, 1, horizon=2.5), "horizon"),
+    ("ensemble monte_carlo n=10.5",
+     lambda: ensemble_estimate(uniform(), 10.5, "monte_carlo"), "n"),
+    ("batch_time_quantile n=2.5",
+     lambda: batch_time_quantile(uniform(), 2.5, 0.5), "n"),
+    ("zeta_sum n=10.5", lambda: expected_time_zeta_sum(power_tail(1.0), 10.5), "n"),
+    ("moment_series n=10.5",
+     lambda: expected_time_moment_series(power_tail(1.0), 10.5), "n"),
+    ("integral n=10.5", lambda: expected_time_integral(power_tail(1.0), 10.5), "n"),
+    ("alpha1 n=10.5", lambda: alpha1_decomposition(uniform(), 10.5), "n"),
+    ("alpha1 n=1", lambda: alpha1_decomposition(uniform(), 1), "n"),
+    ("concentration n=10.5",
+     lambda: sum_inverse_gap_concentration(power_tail(1.0), 10.5, 10, 1), "n"),
+    ("concentration trials=2.5",
+     lambda: sum_inverse_gap_concentration(power_tail(1.0), 10, 2.5, 1), "trials"),
+    ("extreme_value trials=2.5",
+     lambda: extreme_value(uniform(), [10], 2.5, 1), "trials"),
+    ("regime_window n=10.5", lambda: regime_window_check(uniform(), 10.5, 10, 1),
+     "n"),
+    ("regime_window trials=2.5",
+     lambda: regime_window_check(uniform(), 10, 2.5, 1), "trials"),
+    ("sample n=3.5", lambda: uniform().sample(3.5, np.random.default_rng(0)), "n"),
+    ("fit_loglog unsorted n",
+     lambda: fit_loglog([1000, 316, 100, 3162, 10000],
+                        [31.6, 17.8, 10.0, 56.2, 100.0]), "n values"),
+    ("threads=0", lambda: run_trials("memoryless", uniform(), 5, 5, 1, threads=0),
+     "threads"),
+    ("threads=2.5",
+     lambda: run_trials("memoryless", uniform(), 5, 5, 1, threads=2.5), "threads"),
 ]
 
 
@@ -123,10 +170,31 @@ def test_no_plain_value_error_is_raised():
 
 
 def test_integral_float_n_is_accepted():
+    # each result equals the int call's and reports ints
     assert extreme_value(uniform(), [10.0], 100, 1).n_values == (10,)
     chk = verify_zeta_expectation(uniform(), 3.0, 100.0, 1)
     assert chk == verify_zeta_expectation(uniform(), 3, 100, 1)
     assert type(chk.n) is int and type(chk.trials) is int
+
+    run = run_trials("memoryless", uniform(), 10.0, 100.0, 1, horizon=1000.0)
+    ref = run_trials("memoryless", uniform(), 10, 100, 1, horizon=1000)
+    assert run.summary() == ref.summary() and np.array_equal(run.times, ref.times)
+    assert all(type(run.summary()[k]) is int for k in ("n", "trials", "horizon"))
+
+    table = compare_algorithms(RunConfig(n=10.0, trials=100.0))
+    assert table == compare_algorithms(RunConfig(n=10, trials=100))
+    assert type(table.n_values[0]) is int and type(table.trials) is int
+
+    rep = run_scaling(RunConfig(n_sweep=(10.0, 30.0, 100.0, 1000.0), trials=100.0,
+                                method="mc_median"))
+    ref = run_scaling(RunConfig(n_sweep=(10, 30, 100, 1000), trials=100,
+                                method="mc_median"))
+    assert rep.result_fields() == ref.result_fields()
+    assert all(type(n) is int for n in rep.n_values) and type(rep.trials) is int
+
+    est = ensemble_estimate(uniform(), 20.0, "monte_carlo", trials=100.0, seed=3)
+    assert est == ensemble_estimate(uniform(), 20, "monte_carlo", trials=100, seed=3)
+    assert type(est.n) is int
 
 
 def test_defaults_apply_only_where_read():
