@@ -117,7 +117,8 @@ def _cmd_exact_time(cfg: RunConfig) -> str:
         est, route = expected_time_series(p, eps=eps), "series"
     except PrecisionLossError:
         # the series cannot meet eps within its step cap; the per-vector
-        # evaluator has no step cap and is good to about 1e-7 relative
+        # evaluator has no step cap: exact up to rounding for at most 8
+        # overlaps (their subset sum), good to about 1e-7 relative beyond
         est, route = expected_time_fast(p), "evaluator"
     return json_text({"p": list(cfg.p), "eps": eps, "t": est.t,
                       "steps_expectation": est.steps_expectation,

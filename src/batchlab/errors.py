@@ -5,9 +5,9 @@ exit 2, divergence signals exit 3, precision/censoring failures exit 4, and
 any other exception exits 1.
 
 Every count a library route reads (n, trials, horizon, threads, each n-sweep
-entry) goes through :func:`count`, once, where the route reads it: a whole
-number passes as an int (``10.0`` passes as 10), anything else is a
-``ConfigError`` before any work.
+entry, the step k of a survival probability) goes through :func:`count`,
+once, where the route reads it: a whole number below 2**63 passes as an int
+(``10.0`` passes as 10), anything else is a ``ConfigError`` before any work.
 """
 
 
@@ -28,8 +28,14 @@ class ConfigError(ValueError):
 
 
 def count(field: str, value, least: int = 1) -> int:
-    """``value`` as an int if it is a whole number >= ``least``, else a
-    ConfigError whose message starts with ``field``."""
-    if not (float(value).is_integer() and value >= least):
-        raise ConfigError(f"{field} must be a whole number >= {least}, got {value!r}")
+    """``value`` as an int if it is a whole number in [``least``, 2**63), else
+    a ConfigError whose message starts with ``field``.
+
+    A Python int is read as it is, never through ``float()``, which cannot
+    hold one past about 1.8e308; 2**63 is where int64 arrays end.
+    """
+    whole = isinstance(value, int) or float(value).is_integer()
+    if not (whole and least <= value < 2**63):
+        raise ConfigError(f"{field} must be a whole number >= {least} and below "
+                          f"2**63, got {value!r}")
     return int(value)

@@ -161,15 +161,20 @@ class LogLogFit:
 def fit_loglog(n_values: Sequence[float], values: Sequence[float]) -> LogLogFit:
     """OLS fit of log(value) on log(n).
 
-    The n values must be strictly increasing.  The smallest n point is
-    discarded (and reported) when its leave-one-out residual exceeds 3x the
-    RMSE of the fit without it: the scaling laws under test are asymptotic
-    and a pre-asymptotic transient at the low end is expected, never hidden.
+    The n values must be finite and strictly increasing and the values
+    finite; anything else is a ConfigError before the fit.  The smallest n
+    point is discarded (and reported) when its leave-one-out residual
+    exceeds 3x the RMSE of the fit without it: the scaling laws under test
+    are asymptotic and a pre-asymptotic transient at the low end is
+    expected, never hidden.
     """
     n_values = np.asarray(n_values, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if n_values.size != values.size or n_values.size < 3:
         raise ConfigError("need >= 3 matched (n, value) points")
+    for field, data in (("n values", n_values), ("values", values)):
+        if not np.isfinite(data).all():
+            raise ConfigError(f"{field} must be finite, got {data.tolist()}")
     if np.any(np.diff(n_values) <= 0.0):
         raise ConfigError("n values must be strictly increasing")
     if np.any(values <= 0.0) or np.any(n_values <= 0.0):

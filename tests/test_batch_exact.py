@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 
 from batchlab import batch_exact
 from batchlab.batch_exact import (_EXACT_HEAD, _GAUSS_WEIGHTS, _GK_NODES,
-                                  _GK_WEIGHTS, _QUAD_TOL, _X_BUDGET,
-                                  _first_step, coarse_bounds,
+                                  _GK_WEIGHTS, _QUAD_TOL, _SUBSET_COLUMNS,
+                                  _X_BUDGET, _first_step, coarse_bounds,
                                   expected_time_bulk, expected_time_fast,
                                   expected_time_series, n_delta, sandwich,
                                   survival, survival_bulk)
@@ -29,6 +29,15 @@ from tests.oracles import (expected_time_subsets, simulate_batch,
 overlap_vectors = st.lists(
     st.floats(min_value=0.0, max_value=0.99, allow_nan=False), min_size=0,
     max_size=8).map(np.asarray)
+
+
+def past_the_cut(P):
+    """P zero-padded to one column more than the subset sum takes.
+
+    The evaluator drops zero columns, so each row runs the same stages on
+    the padded matrix as on P itself.
+    """
+    return np.pad(P, ((0, 0), (0, max(0, _SUBSET_COLUMNS + 1 - P.shape[1]))))
 
 
 class TestSurvival:
@@ -317,6 +326,7 @@ class TestLargeScaleEvaluators:
         tall = rng.random((rows_chunk(4) + 1024, 4)) * 0.5
         tall[1::8] = rng.random((len(tall[1::8]), 4)) ** 0.25 * 0.999
         tall[::5, 2:] = 0.0
+        tall = past_the_cut(tall)               # kept on the evaluator
         by_p_max = np.argsort(tall.max(axis=1))
         for P, rows in ((P, range(len(P))),
                         (tall, np.r_[by_p_max[:8], by_p_max[-8:]])):
@@ -369,9 +379,10 @@ class TestLargeScaleEvaluators:
     def test_one_overlap(self):
         # n = 1: q_k = p**k, so T = p / (1 - p) exactly; the rows either
         # retire in the head or take the integral from its end, and the
-        # last is past the series' step cap
+        # last is past the series' step cap; zero-padded past the subset
+        # sum's cut, so the evaluator takes them
         p = np.asarray([0.01, 0.3, 0.9, 0.99, 0.999, 0.99999, 1.0 - 1e-9])
-        got = expected_time_bulk(p[:, None])
+        got = expected_time_bulk(past_the_cut(p[:, None]))
         assert_allclose(got, p / (1.0 - p), rtol=_QUAD_TOL)
         for x, t in zip(p[:-1], got):
             assert abs(t - expected_time_series([x], eps=1e-11).t) <= _QUAD_TOL * t
@@ -390,11 +401,87 @@ class TestLargeScaleEvaluators:
         assert not _GAUSS_WEIGHTS[::2].any()
 
 
+def narrow_rows(n):
+    """24 rows of n overlaps: zeros, 1e-300, duplicates, an all-zero row
+    and 1 - 1e-12 entries among rows of small, middling and large overlaps."""
+    rng = np.random.default_rng(2800 + n)
+    P = rng.random((24, n)) ** rng.choice([0.02, 1.0, 6.0], size=(24, 1))
+    P[::4, 0] = 0.0
+    P[1::4, -1] = 1e-300
+    P[2::4, -1] = P[2::4, 0]
+    P[3::8, [0, -1]] = 1.0 - 1e-12
+    P[5] = 0.0
+    return P
+
+
+def subset_bound(n, p_max):
+    """The module docstring's rounding bound of the subset sum, relative to T."""
+    lam = -math.log(p_max) / (1.0 - p_max)
+    return (2 ** n - 1) * (n + 4) * lam * 2.0 ** -53
+
+
+class TestSubsetSum:
+    """Matrices of at most _SUBSET_COLUMNS columns, summed over column subsets."""
+
+    NS = range(1, _SUBSET_COLUMNS + 1)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_matches_series(self, n):
+        P = narrow_rows(n)
+        got = expected_time_bulk(P)
+        assert got[5] == 0.0
+        compared = 0
+        for row, t in zip(P, got):
+            try:
+                want = expected_time_series(row, eps=1e-13).t
+            except PrecisionLossError:          # the rows with 1 - 1e-12
+                continue
+            assert_allclose(t, want, rtol=1e-12, atol=0)
+            compared += 1
+        assert compared >= 21
+
+    @pytest.mark.parametrize("n", NS)
+    def test_matches_mpmath_within_the_bound(self, n):
+        mp = pytest.importorskip("mpmath")
+        P = narrow_rows(n)
+        got = expected_time_bulk(P)
+        with mp.workdps(40):
+            for row, t in zip(P, got):
+                p = [mp.mpf(float(x)) for x in row]
+                want = mp.mpf(0)
+                for mask in range(1, 1 << n):
+                    members = [p[j] for j in range(n) if mask >> j & 1]
+                    p_s = mp.fprod(members)
+                    want += (-1) ** (len(members) - 1) * p_s / (1 - p_s)
+                if row.max() == 0.0:
+                    assert t == 0.0
+                    continue
+                assert abs(t - want) <= subset_bound(n, row.max()) * want
+
+    @pytest.mark.parametrize("n", NS)
+    def test_bulk_rows_match_fast(self, n):
+        P = narrow_rows(n)
+        got = expected_time_bulk(P)
+        for row, t in zip(P, got):
+            assert_allclose(expected_time_fast(row).t, t, rtol=1e-12, atol=0)
+
+    def test_joins_the_evaluator_at_the_cut(self, rng):
+        # the same rows of _SUBSET_COLUMNS overlaps by the subset sum and,
+        # zero-padded past the cut, by the evaluator
+        P = rng.random((60, _SUBSET_COLUMNS)) ** rng.choice([0.05, 1.0, 4.0],
+                                                           size=(60, 1))
+        P[::3, :3] = 0.0
+        P[1::7, 0] = 1.0 - 1e-9
+        assert_allclose(expected_time_bulk(P), expected_time_bulk(past_the_cut(P)),
+                        rtol=_QUAD_TOL, atol=0)
+
+
 class TestWorkCount:
     # powers p**x that the kernel forms over one evaluation of per_vector-
     # shaped inputs: 40 x 1000 overlaps for beta = 1, 0, -0.5 and 2000 short
-    # rows of 6; a count, so host speed cannot move it
-    POWERS = 2_404_923
+    # rows of 6, which the subset sum takes without the kernel; a count, so
+    # host speed cannot move it
+    POWERS = 2_098_282
 
     def test_kernel_cells(self, monkeypatch):
         cells = []

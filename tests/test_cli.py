@@ -326,7 +326,12 @@ class TestExitCodes:
         (["zeta", "--s", "2", "--eps", "nan"], "eps"),
         (["ensemble", "--n", "10", "--dist", "powertail:beta=1", "--eps", "nan"],
          "eps"),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+        # whole numbers past int64, once an OverflowError and exit 1
+        (["ensemble", "--dist", "powertail:beta=1", "--n", "1" + "0" * 400,
+          "--method", "moment_series"], "n"),
+        (["simulate", "--alg", "batch", "--n", "1" + "0" * 400, "--trials", "3"],
+         "n"),
+    ], ids=lambda v: " ".join(v)[:80] if isinstance(v, list) else v)
     def test_documented_limits_are_config_errors(self, capsys, args, field):
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == ""

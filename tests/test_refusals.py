@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from batchlab.batch_exact import expected_time_series, n_delta
+from batchlab.batch_exact import (expected_time_series, n_delta, sandwich,
+                                  survival, survival_bulk)
 from batchlab.distributions import parse_dist, power_tail, scaled, uniform
 from batchlab.ensemble import (alpha1_decomposition, ensemble_estimate,
                                expected_time_integral,
@@ -141,6 +142,21 @@ REFUSALS = [
     ("fit_loglog unsorted n",
      lambda: fit_loglog([1000, 316, 100, 3162, 10000],
                         [31.6, 17.8, 10.0, 56.2, 100.0]), "n values"),
+    # non-finite fit data, once met by LAPACK's DLASCL lines and a LinAlgError
+    ("fit_loglog n=nan",
+     lambda: fit_loglog([math.nan, 100, 1000, 10000], [1, 2, 3, 4]), "n values"),
+    ("fit_loglog value=inf",
+     lambda: fit_loglog([10, 100, 1000, 10000], [1, 2, math.inf, 4]), "values"),
+    # a step index that is not a whole number >= 1, once read as nan or as
+    # a step that does not exist
+    ("survival k=nan", lambda: survival([0.5, 0.3], math.nan), "k"),
+    ("survival k=2.5", lambda: survival([0.5, 0.3], 2.5), "k"),
+    ("sandwich k=nan", lambda: sandwich([0.5, 0.3], math.nan), "k"),
+    ("survival_bulk ks 2.5", lambda: survival_bulk([0.5, 0.3], [1.0, 2.5]), "ks"),
+    ("survival_bulk ks 0", lambda: survival_bulk([0.5, 0.3], [0.0, 1.0]), "ks"),
+    # a whole number past int64, once an OverflowError in float()
+    ("ensemble moment_series n=10**400",
+     lambda: ensemble_estimate(power_tail(1.0), 10**400, "moment_series"), "n"),
     ("threads=0", lambda: run_trials("memoryless", uniform(), 5, 5, 1, threads=0),
      "threads"),
     ("threads=2.5",
