@@ -22,8 +22,14 @@ one p_max order and taken in sub-blocks of about 2**16 overlaps, so that
 each sub-block cuts its own dead columns and retires its own rows.  Per row:
 
 1. *Saturated steps are counted.*  prod_i(1 - p_i**k) <= exp(-S(k)), with
-   S(k) = sum_i p_i**k, so q_k rounds to exactly 1.0 while S(k) >= 40; the
-   last such k is found by doubling and bisection on S and added as is.
+   S(k) = sum_i p_i**k, so q_k rounds to exactly 1.0 while S(k) >= 40.
+   For the j-th largest overlap p_(j), S(k) >= j * p_(j)**k, so every
+   k <= max_{j>=40} log(j/40) / -log p_(j) has S(k) >= 40; that many steps
+   are added as is, read off the sorted row with no search (q_k is 1.0
+   from S(k) >= 37.5 on, which covers the rounding of the bound).  It is
+   the true count for an all-equal row and can fall short of it otherwise
+   (a row of fewer than 40 positive overlaps gets 0), and a saturated step
+   past it adds q = 1.0 exactly in the head or the integral.
 2. *Exact head* up to step 64: p**(k+1) = p**k * p from p**1 = p, at most
    64 * 2**-53 relative from the recurrence, and q_k = 1 - prod(1 - p**k)
    as a product over the columns, off by about n * 2**-53 / q_k relative.
@@ -34,7 +40,9 @@ each sub-block cuts its own dead columns and retires its own rows.  Per row:
 3. *Euler-Maclaurin*: for the rows the head left alive or never took
    (tail start still 0), sum_{k=a}^{b} q_k = integral + (q(a) + q(b))/2 +
    (q'(b) - q'(a))/12 from a = 65, or from the step after the saturated
-   ones where those run past the head, to a b where S is small.  The
+   ones where those run past the head, to b = ceil(x_cut), where x_cut,
+   at least 2a, solves m * p_max**x = 5e-5 for the row's m positive
+   overlaps, so S(b) <= m * p_max**b <= 5e-5.  The
    remainder is that of the first Bernoulli term left out.  For one column,
    q = p**x with t = -log p, it is p**a (1/(1 - e**-t) - 1/t - 1/2 - t/12),
    at most p**a t**3 / 720, which is at most (4 / (e (a - 1)))**4 / 720 of
@@ -91,7 +99,7 @@ _TAIL_ORDERS = 5           # log1p expansion orders kept in closed-form tails
 _EXACT_HEAD = 64           # exact k-summation range before the integral part
 _K_CAP = 1 << 25
 _DEAD = 40.0               # powers below e**-40 of the leading one are cut
-_X_BUDGET = 1 << 16        # overlaps per sub-block; powers per kernel call, head batch
+_X_BUDGET = 1 << 16        # overlaps per sub-block; powers per kernel call
 _QUAD_TOL = 1e-7           # quadrature error budget per row, relative to its T
 _PANEL = math.log(4.0)     # first-round panel width in log x
 _SUBSET_COLUMNS = 8        # matrices this narrow are summed over column subsets
@@ -379,9 +387,11 @@ def _sub_block_times(P: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         logp = np.log(P)
     top = logp.max(axis=0)
-    # q_k rounds to exactly 1.0 while S(k) >= 40, so those steps are counted
-    saturated = _first_step(
-        lambda idx, k: _powers(logp[idx], k, top).sum(axis=1) < _DEAD, len(P)) - 1.0
+    # S(k) >= j * p_(j)**k for the j-th largest overlap, so S(k) >= 40 and q_k
+    # rounds to exactly 1.0 at every k up to this bound; a zero overlap adds 0
+    j = np.arange(_DEAD, P.shape[1] + 1.0)
+    saturated = np.floor(np.max(np.log(j / _DEAD) / -logp[:, int(_DEAD) - 1:],
+                                axis=1, initial=0.0))
     T = saturated.copy()
     start = np.zeros(len(P))                    # where each row's tail starts
     _exact_head(P, T, start, np.flatnonzero(saturated < _EXACT_HEAD), top)
@@ -401,11 +411,10 @@ def _exact_head(P, T, start, rows, top) -> None:
     records that k in ``start`` and retires; a row alive after the head
     keeps ``start`` at 0.  The head starts after the fewest saturated steps
     among ``rows``: T[rows] is reset to that count, and a row's own
-    saturated steps after it add q = 1.0 exactly.  Powers come by the
-    recurrence p**(k+1) = p**k * p from p**1 = p, one rounding per step,
-    held as (columns, rows) so that the product runs over axis 0; steps are
-    taken in batches of about _X_BUDGET powers, so narrow rows share one
-    batch among many steps.
+    saturated steps after it add q = 1.0 exactly.  Each pass takes one step
+    for every row still alive: the power by the recurrence
+    p**(k+1) = p**k * p from p**1 = p, one rounding per step, held as
+    (columns, rows) so that the product runs over axis 0.
     """
     if not rows.size:
         return
@@ -413,33 +422,20 @@ def _exact_head(P, T, start, rows, top) -> None:
     T[rows] = first
     p = P[rows].T.copy()
     pk = np.ones_like(p)                        # p**(k-1)
-    k = 1
-    while k <= _EXACT_HEAD:
+    for k in range(1, _EXACT_HEAD + 1):
         live = _live(top, k)
         p, pk = p[:live], pk[:live]
+        pk *= p
         if k <= first:
-            pk *= p
-            k += 1
             continue
-        m = min(rows_chunk(p.size, _X_BUDGET), _EXACT_HEAD + 1 - k)
-        pks = np.empty((m,) + p.shape)          # p**k, ..., p**(k+m-1)
-        np.multiply(pk, p, out=pks[0])
-        for j in range(1, m):
-            np.multiply(pks[j - 1], p, out=pks[j])
-        alive = np.logical_and.accumulate(pks.sum(axis=1) > _TAIL_S_THRESHOLD)
-        # q_1 may be as small as p_max, so it is taken in log space
-        q_1 = _q(pks[0].T.copy()) if k == 1 else None
-        pk[...] = pks[-1]
-        q = 1.0 - np.prod(np.subtract(1.0, pks, out=pks), axis=1)
-        del pks                     # freed before the next batch is allocated
         if k == 1:
-            q[0] = q_1
-        q[1:] *= alive[:-1]
-        T[rows] += q.sum(axis=0)
-        k += m
-        done = ~alive[-1]
+            # q_1 may be as small as p_max, so it is taken in log space
+            T[rows] += _q(pk.T.copy())
+        else:
+            T[rows] += 1.0 - np.prod(1.0 - pk, axis=0)
+        done = pk.sum(axis=0) <= _TAIL_S_THRESHOLD
         if done.any():
-            start[rows[done]] = k - m + alive[:, done].sum(axis=0)
+            start[rows[done]] = k
             keep = ~done
             rows = rows[keep]
             # compress keeps C order, where p[:, keep] would return F order
@@ -485,6 +481,13 @@ def _euler_maclaurin(L: np.ndarray, a: np.ndarray, positives: np.ndarray,
                      top: np.ndarray, scale: np.ndarray):
     """(sum_{k=a}^{b} q_k, b) per row, a given per row and b where S(b) is small.
 
+    b = ceil(x_cut), x_cut = max(2a, log(m / 5e-5) / -log p_max) for the
+    row's m positive overlaps (m >= 2 in the log), so that
+    S(b) <= m * p_max**b <= _TAIL_S_THRESHOLD / 2 with no power taken.
+    Since S(x) >= p_max**x, where the log term rules x_cut is at most
+    log(2m / 1e-4) / log(1e4) times the step where S falls to 1e-4: 1.83
+    times at m = 1000.
+
     The sum is the integral of q(x) from a to b plus (q(a) + q(b))/2 +
     (q'(b) - q'(a))/12.  The integral is taken in u = log x by the
     Gauss-Kronrod 7/15 rule on panels, at first of ratio 4 in x.  A panel
@@ -493,17 +496,10 @@ def _euler_maclaurin(L: np.ndarray, a: np.ndarray, positives: np.ndarray,
     taken again in the next round, so the estimates of a row's final panels
     add up to at most its budget.
     """
-    # S(x) is dominated by exp(x * log p_max); solve for the cut generously
     x_cut = np.maximum(2.0 * a, np.log(np.maximum(positives, 2)
                                        / (0.5 * _TAIL_S_THRESHOLD))
                        / np.maximum(-L[:, 0], 1e-300))
-    b = a.copy()
-    grow = _powers(L, b, top).sum(axis=1) > _TAIL_S_THRESHOLD
-    while grow.any():
-        b[grow] = np.minimum(2.0 * b[grow], x_cut[grow])
-        grow &= b < x_cut
-        grow[grow] = _powers(L[grow], b[grow], top).sum(axis=1) > _TAIL_S_THRESHOLD
-    b = np.ceil(b)
+    b = np.ceil(x_cut)
 
     # each row's span in u = log x, cut into equal panels of width <= log 4
     span = np.log(b) - np.log(a)

@@ -496,9 +496,10 @@ def ensemble_estimate(dist: OverlapDistribution, n: int, method: str,
 
     ``monte_carlo`` reports the median simulated learning time (the robust
     statistic that remains meaningful when alpha <= 1 and E[T] does not
-    exist); the other methods require alpha > 1.  ``trials`` is read by
-    ``monte_carlo`` only and ``eps`` by ``moment_series`` only, so either
-    one given to another method is refused.
+    exist), from trials >= 2 so that its interval has two ends; the other
+    methods require alpha > 1.  ``trials`` is read by ``monte_carlo`` only
+    and ``eps`` by ``moment_series`` only, so either one given to another
+    method is refused.
     """
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
@@ -515,7 +516,7 @@ def ensemble_estimate(dist: OverlapDistribution, n: int, method: str,
         return EnsembleEstimate(n, method, r.value, r.error_bound)
     if method == "integral_asymptotic":
         return EnsembleEstimate(n, method, expected_time_integral(dist, n), None)
-    times = run_trials("batch", dist, n, DEFAULT_TRIALS if trials is None else trials,
-                       seed, threads=threads).times
+    trials = count("trials", DEFAULT_TRIALS if trials is None else trials, least=2)
+    times = run_trials("batch", dist, n, trials, seed, threads=threads).times
     return EnsembleEstimate(n, method, float(np.median(times)),
                             _median_ci_halfwidth(times))

@@ -247,7 +247,9 @@ def run_scaling(config: RunConfig) -> ScalingReport:
 
     method = ``moment_series`` (alpha > 1 expectation) or ``mc_median``
     (median of simulated per-trial learning times; the statistic of choice
-    when E[T] does not exist).  Default: moment_series when defined.
+    when E[T] does not exist), from trials >= 2 so that the medians'
+    intervals and resamples have spread.  Default: moment_series when
+    defined.
     ``trials`` set for moment_series or ``eps`` for mc_median is refused.
     """
     ns = tuple(count("n-sweep entry", v) for v in config.n_sweep)
@@ -269,7 +271,8 @@ def run_scaling(config: RunConfig) -> ScalingReport:
         raise ConfigError(f"trials is read by method mc_median only, not {method}")
     if config.eps is not None and method != "moment_series":
         raise ConfigError(f"eps is read by method moment_series only, not {method}")
-    trials = count("trials", config.read("trials")) if method == "mc_median" else None
+    trials = (count("trials", config.read("trials"), least=2)
+              if method == "mc_median" else None)
 
     values, errors, runtimes, samples = [], [], [], []
     for n in ns:

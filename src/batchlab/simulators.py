@@ -102,16 +102,16 @@ class TrialBatch:
         return int(np.isinf(self.times).sum())
 
     def summary(self) -> dict:
-        finite = self.times[np.isfinite(self.times)]
+        """Statistics over every trial, a censored one counted as +inf."""
         return {
             "algorithm": self.algorithm,
             "n": self.n,
             "trials": int(self.times.size),
             "censored": self.censored,
-            "mean": float(finite.mean()) if finite.size else math.inf,
-            "median": float(np.median(finite)) if finite.size else math.inf,
-            "min": float(finite.min()) if finite.size else math.inf,
-            "max": float(finite.max()) if finite.size else math.inf,
+            "mean": float(self.times.mean()),
+            "median": float(np.median(self.times)),
+            "min": float(self.times.min()),
+            "max": float(self.times.max()),
             "seed": self.seed,
             "dist": self.dist_spec,
             "resample_p": self.resample_p,

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from batchlab import batch_exact
-from batchlab.batch_exact import (_EXACT_HEAD, _GAUSS_WEIGHTS, _GK_NODES,
-                                  _GK_WEIGHTS, _QUAD_TOL, _SUBSET_COLUMNS,
+from batchlab.batch_exact import (_DEAD, _EXACT_HEAD, _GAUSS_WEIGHTS,
+                                  _GK_NODES, _GK_WEIGHTS, _QUAD_TOL,
+                                  _SUBSET_COLUMNS, _TAIL_S_THRESHOLD,
                                   _X_BUDGET, _first_step, coarse_bounds,
                                   expected_time_bulk, expected_time_fast,
                                   expected_time_series, n_delta, sandwich,
@@ -38,6 +39,25 @@ def past_the_cut(P):
     the padded matrix as on P itself.
     """
     return np.pad(P, ((0, 0), (0, max(0, _SUBSET_COLUMNS + 1 - P.shape[1]))))
+
+
+def recorded(monkeypatch, name):
+    """A list that gathers (arguments, result) of each call of ``name``.
+
+    ``name`` is a stage of the evaluator in ``batch_exact``, which still
+    runs; the arguments are copied as the call starts.
+    """
+    calls = []
+    stage = getattr(batch_exact, name)
+
+    def record(*args):
+        copies = [np.copy(x) for x in args]
+        out = stage(*args)
+        calls.append((copies, out))
+        return out
+
+    monkeypatch.setattr(batch_exact, name, record)
+    return calls
 
 
 class TestSurvival:
@@ -340,24 +360,81 @@ class TestLargeScaleEvaluators:
             expected_time_bulk(np.asarray([[0.5, 1.0]]))
 
     @pytest.mark.parametrize("n,p", [(2000, 0.995), (10**4, 0.99), (200, 0.98)])
-    def test_saturated_past_the_head(self, rng, n, p):
+    def test_saturated_past_the_head(self, monkeypatch, rng, n, p):
         # S(64) = sum p**64 >= 40: q_k rounds to 1.0 beyond the exact head,
-        # so these rows count their saturated steps and start the integral
-        # after them; the all-equal row has a Gumbel-sharp front after its
-        # saturated steps, sharper as n grows
+        # and the bound j * p_(j)**k on S already reaches past it, so these
+        # rows skip the head and start the integral after their bound; the
+        # all-equal row has a Gumbel-sharp front after its saturated steps,
+        # sharper as n grows
         P = np.zeros((3, max(n, 2000)))
         P[0, :500] = rng.uniform(0.99, 0.999, 500)
         P[1, :n] = p
         P[2, :300] = rng.uniform(0.995, 0.998, 300)
         P[2, 300:500] = rng.random(200) * 0.5
         assert np.all((P ** _EXACT_HEAD).sum(axis=1) >= 40.0)
+        heads = recorded(monkeypatch, "_exact_head")
         got = expected_time_bulk(P)
+        saturated = np.concatenate([T for (_, T, *_), _ in heads])
+        assert saturated.size == 3 and np.all(saturated >= _EXACT_HEAD)
         for row, t in zip(P, got):
             want = expected_time_series(row, eps=1e-9).t
             assert abs(t - want) <= 2e-5 * want
             assert_allclose(expected_time_fast(row).t, t, rtol=1e-12)
         want = expected_time_series(P[1], eps=1e-11).t
         assert abs(got[1] - want) <= _QUAD_TOL * want
+
+    @pytest.mark.parametrize("beta", [1.0, 0.0, -0.5, -0.75])
+    def test_saturated_bound(self, monkeypatch, beta):
+        # the count s that a row enters the head with is a lower bound on its
+        # steps with S(k) >= 40: q_s is exactly 1.0 there, S(s) >= 40, and an
+        # all-equal row gets the last k with S(k) >= 40 itself; a row of
+        # fewer than 40 positive overlaps gets 0
+        rng = np.random.default_rng(2900)
+        ns = (40, 41, 100, 300, 1000, 3000)
+        P = np.zeros((len(ns) + 5, max(ns)))
+        for i, n in enumerate(ns):
+            P[i, :n] = power_tail(beta).sample(n, rng)
+            P[i, rng.integers(0, n, n // 5)] = 0.0
+        for i, (n, p) in enumerate([(39, 0.999), (41, 0.95), (100, 0.99),
+                                    (1000, 0.9), (3000, 0.999)], len(ns)):
+            P[i, :n] = p
+        heads = recorded(monkeypatch, "_exact_head")
+        expected_time_bulk(P)
+        checked = 0
+        for (block, saturated, *_), _ in heads:
+            for row, s in zip(block, saturated):
+                positives = np.count_nonzero(row)
+                if positives < _DEAD:
+                    assert s == 0.0
+                if row[0] == row[positives - 1] and positives > 1:
+                    ks = np.arange(1.0, 10**5)
+                    assert s == np.count_nonzero(positives * row[0] ** ks >= _DEAD)
+                if s >= 1.0:
+                    assert survival_bulk(row, [s])[0] == 1.0
+                    assert (row ** s).sum() >= _DEAD * (1.0 - 1e-12)
+                    checked += 1
+        assert sum(len(T) for (_, T, *_), _ in heads) == len(P)
+        assert checked >= 3
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-2, 1e-3, 1e-5])
+    def test_integral_ends_where_s_is_half_the_threshold(self, monkeypatch, gap):
+        # each row's integral ends at a whole b >= 2a where a direct power
+        # sum is at most half the tail's threshold; rows of 9, 50 and 1000
+        # overlaps 1 - gap * u, some of them zero
+        rng = np.random.default_rng(2901)
+        P = np.zeros((6, 1000))
+        for i, n in enumerate((9, 9, 50, 50, 1000, 1000)):
+            P[i, :n] = 1.0 - gap * rng.random(n) ** rng.choice([0.5, 1.0, 2.0])
+        P[1::2, 3:6] = 0.0
+        integrals = recorded(monkeypatch, "_euler_maclaurin")
+        expected_time_bulk(P)
+        rows = 0
+        for (L, a, *_), (_, b) in integrals:
+            assert np.all(b == np.ceil(b)) and np.all(b >= 2.0 * a)
+            assert np.all(np.exp(b[:, None] * L).sum(axis=1)
+                          <= 0.5 * _TAIL_S_THRESHOLD)
+            rows += len(b)
+        assert rows == len(P)
 
     def test_integral_from_the_head_end_with_fast_columns_live(self, rng):
         # one slow column keeps each row alive past the exact head, while up
@@ -479,9 +556,11 @@ class TestSubsetSum:
 class TestWorkCount:
     # powers p**x that the kernel forms over one evaluation of per_vector-
     # shaped inputs: 40 x 1000 overlaps for beta = 1, 0, -0.5 and 2000 short
-    # rows of 6, which the subset sum takes without the kernel; a count, so
-    # host speed cannot move it
-    POWERS = 2_098_282
+    # rows of 6, which the subset sum takes without the kernel; the
+    # saturated counts and the integrals' ends are read off bounds, so only
+    # the integral and the tails take powers; a count, so host speed cannot
+    # move it
+    POWERS = 1_240_808
 
     def test_kernel_cells(self, monkeypatch):
         cells = []

@@ -177,6 +177,18 @@ class TestSimulateCommand:
         # summary reports censored trials rather than failing
         assert code == 0
 
+    def test_summary_counts_censored_trials_as_infinite(self, capsys):
+        # 180 of the 200 trials outlive the horizon, so the mean, the median
+        # and the max are +inf, written null; the min is a finished trial's
+        code, out, _ = run_cli(["simulate", "--alg", "memoryless", "--n", "50",
+                                "--horizon", "20", "--trials", "200", "--seed",
+                                "3"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["censored"] == 180
+        assert [payload[k] for k in ("mean", "median", "min", "max")] == [
+            None, None, 0.0, None]
+
     @pytest.mark.parametrize("alg,horizon", [("batch", None), ("memoryless", 7),
                                              ("full_memory", None)])
     def test_horizon_is_the_one_the_trials_ran_under(self, capsys, alg, horizon):
@@ -316,6 +328,10 @@ class TestExitCodes:
          "n-sweep"),
         (["ensemble", "--method", "zeta_sum", "--n", "40"], "n"),
         (["extremes", "--n-sweep", "10", "--trials", "1"], "trials"),
+        (["ensemble", "--n", "10", "--method", "monte_carlo", "--trials", "1"],
+         "trials"),
+        (["scaling", "--n-sweep", "100,316,1000,10000", "--method", "mc_median",
+          "--trials", "1"], "trials"),
         (["extremes", "--n-sweep", "10", "--dist",
           "scaled:a=0.5,inner=uniform"], "dist"),
         (["ensemble", "--method", "integral_asymptotic", "--n", "10", "--dist",

@@ -139,9 +139,8 @@ class TestRunScaling:
 class TestBootstrapCi:
     # (law, sweep, trials, points fit_loglog discards or None); at 5000
     # trials the kept points' 200 resamples pass 2**22 values and split
-    # into two blocks
-    CASES = [("uniform", (10, 100, 1000, 10000), 1, 1),
-             ("uniform", (10, 100, 1000, 10000), 3, None),
+    # into two blocks; one trial is refused (tests/test_refusals.py)
+    CASES = [("uniform", (10, 100, 1000, 10000), 3, None),
              ("uniform", (100, 316, 1000, 3162, 10000), 101, None),
              ("powertail:beta=1", (1, 10, 100, 1000), 101, 1),
              ("uniform", (10, 30, 100, 300, 1000, 3000), 5000, None)]

@@ -72,6 +72,12 @@ REFUSALS = [
     ("parse_dist beta=-2", lambda: parse_dist("powertail:beta=-2"), "powertail"),
     ("ensemble monte_carlo n=0",
      lambda: ensemble_estimate(uniform(), 0, "monte_carlo"), "n"),
+    # a median's interval from one trial, once reported with zero width
+    ("ensemble monte_carlo trials=1",
+     lambda: ensemble_estimate(uniform(), 10, "monte_carlo", trials=1), "trials"),
+    ("scaling mc_median trials=1",
+     lambda: run_scaling(RunConfig(n_sweep=SWEEP, method="mc_median", trials=1)),
+     "trials"),
     ("ensemble method", lambda: ensemble_estimate(uniform(), 10, "psychic"), "method"),
     ("ensemble zeta_sum n=40",
      lambda: ensemble_estimate(power_tail(1.0), 40, "zeta_sum"), "n"),

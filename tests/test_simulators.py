@@ -16,7 +16,7 @@ from batchlab.batch_exact import expected_time_series, survival
 from batchlab.distributions import power_tail, uniform
 from batchlab.errors import CensoringError, ConfigError, DivergenceError
 from batchlab.rng import CHUNK_SIZE, rows_chunk
-from batchlab.simulators import (_LEARNER_BUDGET, _segment_sums,
+from batchlab.simulators import (_LEARNER_BUDGET, TrialBatch, _segment_sums,
                                  batch_time_quantile, batch_times,
                                  empirical_n_delta, full_memory_ensemble_times,
                                  full_memory_times, memoryless_times, run_trials)
@@ -307,6 +307,14 @@ class TestMemoryless:
         assert t.dtype == np.float64
         assert np.array_equal(t == 0.0, picks == 0)
         assert np.isinf(t).any() and (t[np.isfinite(t)] <= 3).all()
+
+    def test_summary_counts_a_censored_trial_as_infinite(self):
+        # a statistic that a censored trial reaches is +inf, one it does not
+        # reach is that of all the trials
+        times = np.array([4.0, 1.0, math.inf, 2.0, 7.0])
+        got = TrialBatch("memoryless", 3, times, 0, "uniform", True, 9).summary()
+        assert [got[k] for k in ("censored", "mean", "median", "min", "max")] == [
+            1, math.inf, 4.0, 1.0, math.inf]
 
     def test_segment_sums(self):
         got = _segment_sums(np.arange(1.0, 6.0), np.array([0, 2, 0, 3, 0]))
