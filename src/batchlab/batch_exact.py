@@ -23,20 +23,25 @@ each sub-block cuts its own dead columns and retires its own rows.  Per row:
 
 1. *Saturated steps are counted.*  prod_i(1 - p_i**k) <= exp(-S(k)), with
    S(k) = sum_i p_i**k, so q_k rounds to exactly 1.0 while S(k) >= 40.
-   For the j-th largest overlap p_(j), S(k) >= j * p_(j)**k, so every
-   k <= max_{j>=40} log(j/40) / -log p_(j) has S(k) >= 40; that many steps
-   are added as is, read off the sorted row with no search (q_k is 1.0
-   from S(k) >= 37.5 on, which covers the rounding of the bound).  It is
-   the true count for an all-equal row and can fall short of it otherwise
-   (a row of fewer than 40 positive overlaps gets 0), and a saturated step
-   past it adds q = 1.0 exactly in the head or the integral.
+   Over the j largest overlaps, with mu_j the mean of their logs, Jensen's
+   inequality gives S(k) >= sum_{i<=j} p_(i)**k >= j * e**(k mu_j), so
+   every k <= max_{j>=40} log(j/40) / -mu_j has S(k) >= 40; that many
+   steps are added as is, read off one cumulative sum of the sorted row's
+   logs with no search (q_k is 1.0 from S(k) >= 37.5 on, which covers the
+   rounding of the bound).  mu_j >= log p_(j), so the bound is at least
+   the one from j * p_(j)**k alone.  It is the true count for an
+   all-equal row and can fall short of it otherwise (a row of fewer than
+   40 positive overlaps gets 0), and a saturated step past it adds
+   q = 1.0 exactly in the head or the integral.
 2. *Exact head* up to step 64: p**(k+1) = p**k * p from p**1 = p, at most
    64 * 2**-53 relative from the recurrence, and q_k = 1 - prod(1 - p**k)
    as a product over the columns, off by about n * 2**-53 / q_k relative.
    q_1, which can be as small as the overlaps, is taken in log space.  A
    row retires once S(k) <= 1e-4; every step it took before had
    S > 1e-4 and so q > 1 - exp(-1e-4), so the product form moves T by at
-   most about n * 1.1e-12 relative.
+   most about n * 1.1e-12 relative.  A float sum of powers is never below
+   its leading one, p_max**k, so S is summed only once some row's
+   p_max**k is at most 1e-4.
 3. *Euler-Maclaurin*: for the rows the head left alive or never took
    (tail start still 0), sum_{k=a}^{b} q_k = integral + (q(a) + q(b))/2 +
    (q'(b) - q'(a))/12 from a = 65, or from the step after the saturated
@@ -387,11 +392,13 @@ def _sub_block_times(P: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         logp = np.log(P)
     top = logp.max(axis=0)
-    # S(k) >= j * p_(j)**k for the j-th largest overlap, so S(k) >= 40 and q_k
-    # rounds to exactly 1.0 at every k up to this bound; a zero overlap adds 0
+    # S(k) >= sum_{i<=j} p_(i)**k >= j * e**(k mu_j) over the j largest
+    # overlaps (Jensen), mu_j the mean of their logs, so S(k) >= 40 and q_k
+    # rounds to exactly 1.0 at every k up to this bound; mu_j >= log p_(j),
+    # and mu_j is -inf from a zero overlap on, where j adds 0
     j = np.arange(_DEAD, P.shape[1] + 1.0)
-    saturated = np.floor(np.max(np.log(j / _DEAD) / -logp[:, int(_DEAD) - 1:],
-                                axis=1, initial=0.0))
+    mu = np.cumsum(logp, axis=1)[:, int(_DEAD) - 1:] / j
+    saturated = np.floor(np.max(np.log(j / _DEAD) / -mu, axis=1, initial=0.0))
     T = saturated.copy()
     start = np.zeros(len(P))                    # where each row's tail starts
     _exact_head(P, T, start, np.flatnonzero(saturated < _EXACT_HEAD), top)
@@ -414,7 +421,9 @@ def _exact_head(P, T, start, rows, top) -> None:
     saturated steps after it add q = 1.0 exactly.  Each pass takes one step
     for every row still alive: the power by the recurrence
     p**(k+1) = p**k * p from p**1 = p, one rounding per step, held as
-    (columns, rows) so that the product runs over axis 0.
+    (columns, rows) so that the product runs over axis 0.  The float sum
+    S(k) is never below a row's leading power p_max**k, so it is only taken
+    once that power is at most _TAIL_S_THRESHOLD in some row.
     """
     if not rows.size:
         return
@@ -422,9 +431,11 @@ def _exact_head(P, T, start, rows, top) -> None:
     T[rows] = first
     p = P[rows].T.copy()
     pk = np.ones_like(p)                        # p**(k-1)
-    for k in range(1, _EXACT_HEAD + 1):
-        live = _live(top, k)
-        p, pk = p[:live], pk[:live]
+    factors = np.empty_like(p)                  # 1 - p**k
+    # the columns live at each step k, as _live(top, k) gives them
+    live = np.searchsorted(-top, _DEAD / np.arange(1.0, _EXACT_HEAD + 1.0) - top[0])
+    for k, width in enumerate(live, 1):
+        p, pk, factors = p[:width], pk[:width], factors[:width]
         pk *= p
         if k <= first:
             continue
@@ -432,16 +443,20 @@ def _exact_head(P, T, start, rows, top) -> None:
             # q_1 may be as small as p_max, so it is taken in log space
             T[rows] += _q(pk.T.copy())
         else:
-            T[rows] += 1.0 - np.prod(1.0 - pk, axis=0)
+            np.subtract(1.0, pk, out=factors)
+            T[rows] += 1.0 - np.multiply.reduce(factors, axis=0)
+        if pk[0].min() > _TAIL_S_THRESHOLD:
+            continue
         done = pk.sum(axis=0) <= _TAIL_S_THRESHOLD
         if done.any():
             start[rows[done]] = k
             keep = ~done
             rows = rows[keep]
-            # compress keeps C order, where p[:, keep] would return F order
-            p, pk = p.compress(keep, axis=1), pk.compress(keep, axis=1)
             if not rows.size:
                 break
+            # compress keeps C order, where p[:, keep] would return F order
+            p, pk = p.compress(keep, axis=1), pk.compress(keep, axis=1)
+            factors = np.empty_like(p)
 
 
 def _first_step(done, size: int) -> np.ndarray:

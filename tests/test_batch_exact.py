@@ -388,7 +388,8 @@ class TestLargeScaleEvaluators:
         # the count s that a row enters the head with is a lower bound on its
         # steps with S(k) >= 40: q_s is exactly 1.0 there, S(s) >= 40, and an
         # all-equal row gets the last k with S(k) >= 40 itself; a row of
-        # fewer than 40 positive overlaps gets 0
+        # fewer than 40 positive overlaps gets 0; and s is at least the bound
+        # log(j/40) / -log p_(j) from the j-th largest overlap alone
         rng = np.random.default_rng(2900)
         ns = (40, 41, 100, 300, 1000, 3000)
         P = np.zeros((len(ns) + 5, max(ns)))
@@ -413,8 +414,68 @@ class TestLargeScaleEvaluators:
                     assert survival_bulk(row, [s])[0] == 1.0
                     assert (row ** s).sum() >= _DEAD * (1.0 - 1e-12)
                     checked += 1
+                j = np.arange(_DEAD, positives + 1.0)
+                assert s >= np.floor(np.max(np.log(j / _DEAD)
+                                            / -np.log(row[int(_DEAD) - 1:positives]),
+                                            initial=0.0))
         assert sum(len(T) for (_, T, *_), _ in heads) == len(P)
         assert checked >= 3
+
+    @given(n=st.integers(min_value=40, max_value=3000),
+           beta=st.sampled_from([2.0, 1.0, 0.0, -0.5, -0.75]),
+           zeros=st.floats(min_value=0.0, max_value=0.5),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_saturated_bound_property(self, n, beta, zeros, seed):
+        # on any descending row, with zeros among its overlaps, S(k) >= 40
+        # and q_k is exactly 1.0 at the saturated count s the row enters the
+        # head with
+        rng = np.random.default_rng(seed)
+        row = power_tail(beta).sample(n, rng)
+        row[rng.random(n) < zeros] = 0.0
+        row = -np.sort(-row)
+        with pytest.MonkeyPatch.context() as patch:
+            heads = recorded(patch, "_exact_head")
+            expected_time_bulk(row[None, :])
+        (_, (s,), *_), _ = heads[0]
+        if s >= 1.0:
+            assert (row ** s).sum() >= _DEAD * (1.0 - 1e-12)
+            assert survival_bulk(row, [s])[0] == 1.0
+
+    def test_head_retires_where_the_power_sum_falls(self, monkeypatch):
+        # the head sums S(k) only once some row's leading power is at most
+        # _TAIL_S_THRESHOLD, and each row still retires at the first step
+        # past the head's start with a direct sum S(k) <= _TAIL_S_THRESHOLD;
+        # one sub-block holds rows of p_max from 0.5 to 0.85 (p_max**k
+        # crosses the threshold from step 14 to 57) and 9 to 1000 overlaps
+        rng = np.random.default_rng(3000)
+        ns = (9, 9, 20, 50, 100, 300, 1000, 1000)
+        p_max = np.linspace(0.5, 0.85, 24)
+        P = np.zeros((len(p_max), max(ns)))
+        for i, top in enumerate(p_max):
+            n = ns[i % len(ns)]
+            P[i, :n] = top * rng.random(n) ** rng.choice([0.5, 1.0, 3.0])
+            P[i, 0] = top
+            P[i, rng.integers(1, n, n // 4)] = 0.0
+        assert len(P) <= rows_chunk(P.shape[1], _X_BUDGET)    # one sub-block
+        calls = []
+        head = batch_exact._exact_head
+
+        def record(P, T, start, rows, top):
+            first = T[rows].min()
+            head(P, T, start, rows, top)
+            calls.append((P[rows], start[rows], first))
+
+        monkeypatch.setattr(batch_exact, "_exact_head", record)
+        expected_time_bulk(P)
+        (block, start, first), = calls
+        assert len(block) == len(P)
+        for row, k in zip(block, start):
+            ks = np.arange(first + 1.0, _EXACT_HEAD + 1.0)
+            falls = (row ** ks[:, None]).sum(axis=1) <= _TAIL_S_THRESHOLD
+            assert k == (ks[falls.argmax()] if falls.any() else 0.0)
+        assert np.count_nonzero(start) >= len(P) // 2
+        assert len(np.unique(start[start > 0])) >= 5
 
     @pytest.mark.parametrize("gap", [1e-1, 1e-2, 1e-3, 1e-5])
     def test_integral_ends_where_s_is_half_the_threshold(self, monkeypatch, gap):
@@ -557,10 +618,10 @@ class TestWorkCount:
     # powers p**x that the kernel forms over one evaluation of per_vector-
     # shaped inputs: 40 x 1000 overlaps for beta = 1, 0, -0.5 and 2000 short
     # rows of 6, which the subset sum takes without the kernel; the
-    # saturated counts and the integrals' ends are read off bounds, so only
-    # the integral and the tails take powers; a count, so host speed cannot
-    # move it
-    POWERS = 1_240_808
+    # saturated counts (the Jensen bound on the mean log overlap) and the
+    # integrals' ends are read off bounds, so only the integral and the
+    # tails take powers; a count, so host speed cannot move it
+    POWERS = 1_017_323
 
     def test_kernel_cells(self, monkeypatch):
         cells = []
