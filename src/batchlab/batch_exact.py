@@ -153,15 +153,17 @@ def _as_p(p, forbid_one: bool = True) -> np.ndarray:
 def _checked(arr: np.ndarray, forbid_one: bool = True) -> np.ndarray:
     """``arr`` if every entry lies in [0, 1], and below 1 when ``forbid_one``.
 
-    NaN fails the range test (every comparison with it is false), so it
-    raises ConfigError like any other entry outside [0, 1]; only an entry of
-    exactly 1 raises DivergenceError.
+    NaN fails the range test (no comparison with it is true) like any entry
+    outside [0, 1], and the ConfigError names the first such entry and its
+    index; only an entry of exactly 1 raises DivergenceError.
     """
     if arr.size:
         lo, hi = arr.min(), arr.max()
         if not (lo >= 0.0 and hi <= 1.0):
+            i = np.argwhere(~((arr >= 0.0) & (arr <= 1.0)))[0]
             raise ConfigError("p entries must lie in [0, 1], got "
-                             f"min {lo} and max {hi}")
+                             f"{arr[tuple(i)]} at index "
+                             f"{', '.join(map(str, i))}")
         if forbid_one and hi == 1.0:
             raise DivergenceError("an overlap probability of exactly 1 makes the "
                                   "expected learning time infinite")
@@ -173,10 +175,11 @@ def _log_desc(arr: np.ndarray) -> np.ndarray:
     return np.log(-np.sort(-arr[arr > 0.0]))
 
 
-def _live(top: np.ndarray, x_min) -> int:
-    """How many leading columns of ``top`` are not dead at any x >= x_min."""
-    cut = _DEAD / x_min if x_min > 0.0 else math.inf
-    return int(np.searchsorted(-top, cut - top[0]))
+def _live(top: np.ndarray, x_min):
+    """How many leading columns of ``top`` are not dead at any x >= x_min;
+    an array of x_min gives an array of counts.  An x_min of at most
+    1e-300 (0 included) keeps every column, as it would in the limit."""
+    return np.searchsorted(-top, _DEAD / np.maximum(x_min, 1e-300) - top[0])
 
 
 def _powers(logp: np.ndarray, x, top: np.ndarray) -> np.ndarray:
@@ -432,9 +435,7 @@ def _exact_head(P, T, start, rows, top) -> None:
     p = P[rows].T.copy()
     pk = np.ones_like(p)                        # p**(k-1)
     factors = np.empty_like(p)                  # 1 - p**k
-    # the columns live at each step k, as _live(top, k) gives them
-    live = np.searchsorted(-top, _DEAD / np.arange(1.0, _EXACT_HEAD + 1.0) - top[0])
-    for k, width in enumerate(live, 1):
+    for k, width in enumerate(_live(top, np.arange(1.0, _EXACT_HEAD + 1.0)), 1):
         p, pk, factors = p[:width], pk[:width], factors[:width]
         pk *= p
         if k <= first:

@@ -2,7 +2,7 @@
 
 The window constants below were derived once from a high-trial run of
 ``scripts/calibrate_regime_windows.py`` (see that script for the exact
-procedure) and are versioned here; they are never tuned per test run.
+procedure) and are frozen here; they are never tuned per test run.
 Keys are regimes of the moment tail exponent alpha = beta + 1.
 
 For beta > 0 the sublinear-regime window is [C1 * n**(1/(1+beta)), C2 * n]; for
@@ -10,8 +10,6 @@ beta = 0 it is [C1 * n, C2 * n * log n]; for beta < 0 the two-sided window
 is [n**(1/(1+beta)) / C, C * n**(1/(1+beta))].  All windows are checked
 against the word-count convention T + 1.
 """
-
-CALIBRATION_VERSION = 1
 
 #: beta > 0 regime: (C1, C2).  Calibrated margins: the normalized statistic
 #: T/n**(1/(1+beta)) never fell below 0.84 and T/n exceeded 10 only ~0.03%

@@ -7,10 +7,10 @@ makes the density integrable, and beta < 169.6 keeps Gamma(beta+2), the
 constant of the moments, finite:
 
 * ``powertail``    -- a = 1; ``uniform`` is beta = 0 too.  The tail exponent
-  near 1 is exact (no correction term), so asymptotic constants are clean.
+  alpha = beta + 1 is exact (no correction term), so constants are clean.
 * ``scaled``       -- an inner law pushed forward by x -> a*x, support [0, a];
-  nested specs fold into one a.  For a < 1 the moments decay geometrically
-  and there is no power tail.
+  nested specs fold into one a.  For a < 1 the moments decay geometrically:
+  no power tail, and alpha = inf.
 
 Distribution objects are immutable and safe to share across threads; random
 streams are always passed in explicitly.
@@ -174,8 +174,15 @@ class OverlapDistribution:
     def has_power_tail(self) -> bool:
         return self.a == 1.0
 
+    @property
+    def alpha(self) -> float:
+        """Tail exponent of every law: m_k ~ c * k**-alpha, so zeta_F(s)
+        converges exactly when s * alpha > 1; inf for a < 1."""
+        return self.beta + 1.0 if self.a == 1.0 else math.inf
+
     def tail_parameters(self) -> tuple[float, float]:
-        """(alpha, c) with m_k ~ c * k**(-alpha) as k -> infinity.
+        """(alpha, c) with m_k ~ c * k**(-alpha) as k -> infinity, for a law
+        with a power tail; :attr:`alpha` is the exponent of every law.
 
         alpha = beta + 1 and c = Gamma(beta + 2), and exactly
         m_k = c * Gamma(k+1)/Gamma(k+1+alpha) = c * (k + w_k)**(-alpha), where
@@ -187,7 +194,7 @@ class OverlapDistribution:
         """
         if self.a != 1.0:
             raise ConfigError("dist has no power tail: its moments decay geometrically")
-        return self.beta + 1.0, math.gamma(self.beta + 2.0)
+        return self.alpha, math.gamma(self.beta + 2.0)
 
 
 # ----------------------------------------------------------------------

@@ -130,18 +130,12 @@ def expected_time_moment_series(dist: OverlapDistribution, n: int,
     sensitivity to m, n*m*(1-m)**(n-1) / (1-(1-m)**n), is at most 1), the
     tail's sensitivity to the error of m_J, summation rounding and
     2**-52 * alpha/(alpha-1) of the tail for the rounding of alpha, so it is
-    never 0.  Diverges (DivergenceError) for alpha <= 1, where sum n*m_j is
-    infinite: use :func:`alpha1_decomposition`.
+    never 0.  The summing engine raises DivergenceError before summing for
+    alpha <= 1, where sum n*m_j is infinite: use :func:`alpha1_decomposition`.
     """
     n = count("n", n)
     if not 0.0 < eps < math.inf:
         raise ConfigError("eps must be positive and finite")
-    if dist.has_power_tail:
-        alpha, _ = dist.tail_parameters()
-        if alpha <= 1.0:
-            raise DivergenceError(
-                f"E[T] does not exist for alpha = {alpha:g} <= 1; "
-                "the series tail sum n*m_j diverges (see alpha1_decomposition)")
     value, j_used, bound = _binomial_series(
         dist, n, 1, lambda m: -np.expm1(n * np.log1p(-m)), lambda partial: eps,
         "moment series")
@@ -378,29 +372,28 @@ def extreme_value(dist: OverlapDistribution, n_values: Sequence[int],
     Every law with a power tail has P(1 - p <= x) = x**alpha exactly, so each
     trial's minimum gap is drawn by inversion of its law from one uniform of
     the chunk streams ``(seed, STREAM_EXTREMES, j, i)`` for the j-th n; no
-    overlap vector is drawn.  Needs whole n-sweep entries >= 1 (``10.0``
-    passes, ``10.7`` is refused) and trials >= 2.
+    overlap vector is drawn.  Needs a strictly increasing n-sweep of whole
+    entries >= 1 (``10.0`` passes, ``10.7`` is refused) and trials >= 2.
     """
     if not n_values:
         raise ConfigError("n-sweep must hold at least one n value")
     n_values = [count("n-sweep entry", v) for v in n_values]
+    if any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise ConfigError("n-sweep must be strictly increasing")
     trials = count("trials", trials, least=2)
     alpha, _ = dist.tail_parameters()
     beta = alpha - 1.0
 
     means, errs = [], []
-    ks_n = max(n_values)
-    ks_sample = None
     for j, n in enumerate(n_values):
         qmin = _map_rows(
             lambda rng, count, n=n: _min_gap_quantile(rng.random(count), n, alpha),
             trials, seed, (STREAM_EXTREMES, j), threads)
         means.append(float(qmin.mean()))
         errs.append(float(qmin.std(ddof=1) / math.sqrt(qmin.size)))
-        if n == ks_n:
-            ks_sample = qmin
 
-    scaled = np.sort(ks_sample * ks_n ** (1.0 / (beta + 1.0)))
+    ks_n = n_values[-1]         # the largest n, whose sample qmin still holds
+    scaled = np.sort(qmin * ks_n ** (1.0 / (beta + 1.0)))
     g = -np.expm1(-scaled ** (beta + 1.0))
     grid = np.arange(1, scaled.size + 1) / scaled.size
     ks = float(max((grid - g).max(), (g - (grid - 1.0 / scaled.size)).max()))

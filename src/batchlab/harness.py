@@ -248,8 +248,8 @@ def run_scaling(config: RunConfig) -> ScalingReport:
     method = ``moment_series`` (alpha > 1 expectation) or ``mc_median``
     (median of simulated per-trial learning times; the statistic of choice
     when E[T] does not exist), from trials >= 2 so that the medians'
-    intervals and resamples have spread.  Default: moment_series when
-    defined.
+    intervals and resamples have spread.  Default: moment_series wherever
+    E[T] exists, that is for ``dist.alpha`` > 1, scaled laws included.
     ``trials`` set for moment_series or ``eps`` for mc_median is refused.
     """
     ns = tuple(count("n-sweep entry", v) for v in config.n_sweep)
@@ -260,10 +260,9 @@ def run_scaling(config: RunConfig) -> ScalingReport:
     if ns[-1] < 100 * ns[0]:
         raise ConfigError("n-sweep must span at least two decades")
     dist = parse_dist(config.dist)
-    alpha = dist.tail_parameters()[0] if dist.has_power_tail else None
     method = config.method
     if method in (None, "auto"):
-        method = "moment_series" if (alpha is not None and alpha > 1.0) else "mc_median"
+        method = "moment_series" if dist.alpha > 1.0 else "mc_median"
     if method not in ("moment_series", "mc_median"):
         raise ConfigError(f"method must be moment_series, mc_median or auto "
                           f"for scaling, got {method!r}")
@@ -358,8 +357,8 @@ def _jackknife_exponent_ci(n_values, values, fit) -> tuple:
 class ComparisonTable:
     """Empirical N_delta per algorithm per n, shared-seed discipline.
 
-    ``violations`` lists any (n, pair) where the asymptotic ordering
-    batch <= memoryless expected for beta >= 0 failed empirically.
+    ``violations`` lists any (n, pair) that breaks batch <= memoryless, the
+    asymptotic ordering for alpha >= 1 (scaled laws included).
     """
 
     dist: str
@@ -399,8 +398,7 @@ def compare_algorithms(config: RunConfig) -> ComparisonTable:
                 alg, dist, n, config.delta, trials, config.seed,
                 horizon=config.horizon, threads=config.threads))
     violations = []
-    beta = (dist.tail_parameters()[0] - 1.0) if dist.has_power_tail else None
-    if beta is not None and beta >= 0.0:
+    if dist.alpha >= 1.0:
         for i, n in enumerate(n_values):
             if table["batch"][i] > table["memoryless"][i]:
                 violations.append(

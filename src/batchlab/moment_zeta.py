@@ -7,8 +7,9 @@ For a law F on [0, 1] with moments m_k, the moment zeta function is
 convergent exactly when s * alpha > 1, where alpha is the moment tail
 exponent (m_k ~ c * k**-alpha).  ``zeta``, the moment series and the alpha = 1
 split of :mod:`batchlab.ensemble` are sums over moments cut at K by one
-driver, ``_certified_sum``, and one bracket, ``_power_sum_tail``, bounds every
-discarded sum_{j>K} m_j**s to within O(K**-2) of the tail.
+driver, ``_certified_sum``, the one refusal of a divergent sum, and one
+bracket, ``_power_sum_tail``, bounds every discarded sum_{j>K} m_j**s to
+within O(K**-2) of the tail.
 
 The Mellin transform M(f)(s) = integral_0^1 f(x) x**(s-1) dx is m_{s-1}:
 ``mellin`` reads it off the closed-form moments at real order s - 1 > -1,
@@ -103,6 +104,7 @@ def zeta(dist: OverlapDistribution, s: float, eps: float = 1e-9) -> ZetaValue:
     error is scaled by s in m**s), summation rounding, and 2**-52 * p/(p-1)
     of the tail for the rounding of p = s*alpha.  It is never 0 and may
     exceed eps when the value is large or p is near 1.  Raises
+    DivergenceError (from the summing engine) where s * alpha <= 1,
     PrecisionLossError when K = 2**26 does not meet eps, and ConfigError
     before summing for an s that is not finite or an eps that is not.
     """
@@ -110,14 +112,6 @@ def zeta(dist: OverlapDistribution, s: float, eps: float = 1e-9) -> ZetaValue:
         raise ConfigError("s must be finite")
     if not 0.0 < eps < math.inf:
         raise ConfigError("eps must be positive and finite")
-    if dist.has_power_tail:
-        alpha, _ = dist.tail_parameters()
-        if s * alpha <= 1.0:
-            raise DivergenceError(
-                f"zeta_F(s) diverges: s*alpha = {s * alpha:g} <= 1 "
-                f"(defined only for s > 1/alpha = {1.0 / alpha:g})")
-    elif s <= 0.0:
-        raise DivergenceError("zeta_F(s) requires s > 0")
     value, k_used, bound = _certified_sum(
         dist, lambda m: m ** s, lambda tail: tail(s), lambda partial: eps, s, "zeta")
     return ZetaValue(value=value, s=s, k_used=k_used, error_bound=bound)
@@ -133,7 +127,16 @@ def _certified_sum(dist, term, bracket, goal, power, what):
     allowance that the stop rule ignores.  term(m) ~ m**power as m -> 0 and
     |d log term / d log m| <= power scales the moments' relative error; the
     two roundings in p = alpha*power move the tail by 2**-52 * p/(p-1).
+    Unless p > 1, which a nan p (power 0, alpha = inf) fails too, it raises
+    DivergenceError before summing: the one convergence test of every route.
     """
+    p = power * dist.alpha
+    if not p > 1.0:
+        see = ("; E[T] does not exist (see alpha1_decomposition)"
+               if what == "moment series" else "")
+        raise DivergenceError(
+            f"{what} diverges at s = {power:g}: sum m_k**s converges only for "
+            f"s > 1/alpha = {1.0 / dist.alpha:g}{see}")
     partial, k_done, k_target = 0.0, 0, _K_START
     while True:
         for start in range(k_done + 1, k_target + 1, _SUM_CHUNK):
@@ -146,7 +149,6 @@ def _certified_sum(dist, term, bracket, goal, power, what):
         half = 0.5 * abs(hi - lo)
         if half <= 0.5 * goal(partial):
             value = partial + 0.5 * (lo + hi)
-            p = power * dist.tail_parameters()[0] if dist.has_power_tail else np.inf
             rounding = ((power * dist.moment_rtol + _ROUNDING_RTOL) * abs(value)
                         + _ULP * 0.5 * abs(lo + hi) / (1.0 - 1.0 / p))
             return value, k_done, half + rounding
@@ -246,19 +248,12 @@ def verify_zeta_expectation(
     for bit.
 
     Raises ConfigError for an n or trials that is not a whole number >= 1
-    (``3.0`` passes), and DivergenceError when n * alpha <= 1: the
-    expectation is undefined exactly when the zeta function is.
+    (``3.0`` passes).  The expectation is undefined exactly when the zeta
+    function is, so zeta_F(n) is taken before any overlap is drawn, and its
+    DivergenceError at n * alpha <= 1 is this check's.
     """
     n, trials = count("n", n), count("trials", trials)
-    if dist.has_power_tail:
-        alpha, _ = dist.tail_parameters()
-        if n * alpha <= 1.0:
-            raise DivergenceError(
-                f"E[1/(1 - x_1...x_n)] is undefined for n*alpha = {n * alpha:g} <= 1")
-        variance_finite = n * alpha > 2.0
-    else:
-        variance_finite = True
-
+    zeta_value = zeta(dist, float(n), eps=_VERIFY_EPS).value
     z = np.empty(trials)
 
     def odds_of_product(i: int, lo: int, hi: int) -> None:
@@ -277,9 +272,9 @@ def verify_zeta_expectation(
     trimmed = float(np.minimum(z, cut, out=d).mean())
     return ZetaExpectationCheck(
         mc_estimate=float(mean),
-        zeta_value=zeta(dist, float(n), eps=_VERIFY_EPS).value,
+        zeta_value=zeta_value,
         stderr=stderr,
-        variance_finite=variance_finite,
+        variance_finite=n * dist.alpha > 2.0,
         trimmed_mean=trimmed,
         trials=trials,
         n=n,

@@ -683,6 +683,10 @@ class TestBadOverlaps:
             call(np.asarray(p))
         assert not isinstance(info.value, DivergenceError)
 
+    def test_matrix_entry_out_of_range_is_named(self):
+        with pytest.raises(ValueError, match=r"got 1\.5 at index 1, 0$"):
+            expected_time_bulk(np.array([[0.25, 0.5], [1.5, math.nan]]))
+
     @pytest.mark.parametrize("call,rejects_one", [(c, r) for _, c, r in ENTRY_POINTS],
                              ids=[name for name, _, _ in ENTRY_POINTS])
     def test_exactly_one(self, call, rejects_one):

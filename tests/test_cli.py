@@ -324,6 +324,7 @@ class TestScalingAndCompare:
 class TestExitCodes:
     @pytest.mark.parametrize("args, field", [
         (["extremes", "--n-sweep", "0,10"], "n-sweep"),
+        (["extremes", "--n-sweep", "100,100,10", "--trials", "50"], "n-sweep"),
         (["scaling", "--n-sweep", "0,10,100,1000", "--method", "mc_median"],
          "n-sweep"),
         (["ensemble", "--method", "zeta_sum", "--n", "40"], "n"),
@@ -352,6 +353,27 @@ class TestExitCodes:
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == ""
         assert err.startswith(f"config error: {field} ")
+
+    @pytest.mark.parametrize("p, bad", [("0.5,nan", "nan at index 1"),
+                                        ("nan", "nan at index 0"),
+                                        ("0.2,1.5", "1.5 at index 1")])
+    def test_first_entry_out_of_range_is_named(self, capsys, p, bad):
+        code, out, err = run_cli(["exact-time", "--p", p], capsys)
+        assert code == 2 and out == ""
+        assert err == f"config error: p entries must lie in [0, 1], got {bad}\n"
+
+    @pytest.mark.parametrize("args", [
+        ["zeta", "--dist", "powertail:beta=-0.5", "--s", "2"],
+        ["zeta", "--dist", "scaled:a=0.5,inner=uniform", "--s", "0"],
+        ["zeta", "--dist", "scaled:a=0.5,inner=uniform", "--s", "-1"],
+        ["ensemble", "--dist", "uniform", "--n", "5", "--method", "moment_series"],
+        ["ensemble", "--dist", "powertail:beta=-0.5", "--n", "5", "--method",
+         "moment_series"],
+    ], ids=lambda v: " ".join(v))
+    def test_divergent_sum_exits_3(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("divergence: ") and "nan" not in err
 
     @pytest.mark.parametrize("args", [
         ["zeta", "--dist", "powertail:beta=inf", "--s", "2"],

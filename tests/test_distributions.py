@@ -208,6 +208,15 @@ class TestTailParameters:
         assert np.all(np.diff(r) >= -1e-14)
         assert r[-1] <= c * (1.0 + 1e-12)
 
+    def test_alpha_of_every_law(self):
+        # a < 1 decays geometrically: faster than any power
+        assert uniform().alpha == 1.0
+        assert power_tail(2.5).alpha == 3.5
+        assert scaled(0.5, uniform()).alpha == math.inf
+        assert scaled(0.5, scaled(0.5, power_tail(1.0))).alpha == math.inf
+        for beta in (-0.5, 0.0, 1.0, 2.5):
+            assert power_tail(beta).tail_parameters()[0] == power_tail(beta).alpha
+
     def test_scaled_has_no_power_tail(self):
         sc = scaled(0.5, uniform())
         assert not sc.has_power_tail

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from batchlab.distributions import parse_dist, uniform
+from batchlab.ensemble import expected_time_moment_series
 from batchlab.errors import ConfigError
 from batchlab.harness import (_BOOTSTRAP_RESAMPLES, RunConfig, ScalingReport,
                               compare_algorithms, emit, fit_loglog, run_scaling)
@@ -129,6 +130,17 @@ class TestRunScaling:
                         n_sweep=(10, 100, 400, 1000), seed=1)
         assert run_scaling(cfg).method == "mc_median"
 
+    def test_auto_method_on_scaled_law_is_moment_series(self):
+        # a < 1: E[T] exists at every n, so the default is the series
+        cfg = RunConfig(command="scaling", dist="scaled:a=0.5,inner=uniform",
+                        n_sweep=(100, 1000, 10000, 100000))
+        rep = run_scaling(cfg)
+        assert rep.method == "moment_series" and rep.trials is None
+        dist = parse_dist(cfg.dist)
+        assert [v for v, _ in rep.estimates] == [
+            expected_time_moment_series(dist, n, eps=cfg.read("eps")).value
+            for n in cfg.n_sweep]
+
     def test_rejects_bad_method(self):
         cfg = RunConfig(command="scaling", dist="uniform", method="ouija",
                         n_sweep=(10, 100, 400, 1000))
@@ -184,6 +196,14 @@ class TestCompare:
         table = compare_algorithms(cfg)
         assert table.violations == ()
         assert table.n_delta["batch"][0] <= table.n_delta["memoryless"][0]
+
+    @pytest.mark.parametrize("spec", ["uniform", "scaled:a=0.5,inner=uniform"])
+    def test_ordering_judged_for_alpha_at_least_one(self, spec):
+        # at this seed the batch quantile is one step, the memoryless none
+        cfg = RunConfig(command="compare", dist=spec, n=1, delta=0.5,
+                        trials=100, seed=2)
+        table = compare_algorithms(cfg)
+        assert table.violations == ("n=1: batch N_delta 1 > memoryless 0",)
 
 
 def _sample_scaling_report():

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from batchlab.distributions import parse_dist, power_tail, scaled, uniform
+from batchlab.distributions import (OverlapDistribution, parse_dist, power_tail,
+                                    scaled, uniform)
+from batchlab.ensemble import expected_time_moment_series
 from batchlab.errors import DivergenceError
 from batchlab.moment_zeta import (_QUANTILE_BLOCK, _upper_quantile, mellin,
                                   verify_zeta_expectation, zeta)
@@ -230,6 +232,41 @@ class TestCertifiedTail:
                               mp.gamma(a + 1) ** sm, a * sm, a)
             assert 0.0 < z.error_bound
             assert abs(z.value - want) <= z.error_bound
+
+
+def _no_work(*args):
+    raise AssertionError("a moment was taken or an overlap drawn before the refusal")
+
+
+# (id, call, route, s, abscissa 1/alpha): every divergent sum is refused by
+# the summing engine, before any moment or overlap, as s*alpha <= 1
+DIVERGENT = [
+    ("zeta s*alpha=1", lambda: zeta(power_tail(-0.5), 2.0), "zeta", 2.0, 2.0),
+    ("zeta scaled s=0", lambda: zeta(scaled(0.5, uniform()), 0.0), "zeta", 0.0, 0.0),
+    ("zeta scaled s=-1", lambda: zeta(scaled(0.5, uniform()), -1.0), "zeta", -1.0,
+     0.0),
+    ("moment series beta=0", lambda: expected_time_moment_series(uniform(), 5),
+     "moment series", 1.0, 1.0),
+    ("moment series beta=-0.5",
+     lambda: expected_time_moment_series(power_tail(-0.5), 5), "moment series",
+     1.0, 2.0),
+    ("verify n*alpha=1", lambda: verify_zeta_expectation(uniform(), 1, 1000, 1),
+     "zeta", 1.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("call, route, s, abscissa",
+                         [case[1:] for case in DIVERGENT],
+                         ids=[case[0] for case in DIVERGENT])
+def test_engine_refuses_divergent_sums(monkeypatch, call, route, s, abscissa):
+    monkeypatch.setattr(OverlapDistribution, "moments", _no_work)
+    monkeypatch.setattr(OverlapDistribution, "sample", _no_work)
+    with pytest.raises(DivergenceError) as info:
+        call()
+    msg = str(info.value)
+    assert msg.startswith(f"{route} diverges at s = {s:g}: ")
+    assert f"s > 1/alpha = {abscissa:g}" in msg and "nan" not in msg
+    assert ("alpha1_decomposition" in msg) == (route == "moment series")
 
 
 class TestZetaExpectation:

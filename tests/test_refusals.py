@@ -53,6 +53,9 @@ REFUSALS = [
      lambda: extreme_value(uniform(), [0, 10], 10, 1), "n-sweep"),
     ("extreme_value n-sweep 10.7",
      lambda: extreme_value(uniform(), [10.7], 100, 1), "n-sweep"),
+    # a repeated n, once two rows drawn on two streams
+    ("extreme_value n-sweep 100,100,10",
+     lambda: extreme_value(uniform(), [100, 100, 10], 50, 1), "n-sweep"),
     ("extreme_value trials=1", lambda: extreme_value(uniform(), [10], 1, 1), "trials"),
     ("extreme_value no power tail",
      lambda: extreme_value(NO_TAIL, [10], 100, 1), "dist"),
